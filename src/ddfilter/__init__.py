@@ -3,15 +3,15 @@
 Builds pulse sequences (CPMG, periodic, Uhrig, custom), evaluates their
 dimensionless filter functions stably across 12+ decades, predicts
 coherence decay against parametric or tabulated noise spectra by
-adaptive quadrature, extracts band-shape metrics, designs sequences
-numerically (spectrum-matched, area-minimizing, and gap-constrained
-variants), and cross-checks every prediction with an independent
-time-domain oracle (covariance quadratic form + Monte Carlo noise
-synthesis).
+closed-form pairwise sums or adaptive quadrature, extracts band-shape
+metrics, designs sequences numerically (spectrum-matched,
+area-minimizing, and gap-constrained variants), and cross-checks every
+prediction with an independent time-domain oracle (covariance quadratic
+form + Monte Carlo noise synthesis).
 """
 
 from .coherence import (CoherenceCurve, chi, coherence_curve, coherence_w,
-                        thread_count, white_fid_chi)
+                        white_fid_chi)
 from .errors import (BadConfig, CollisionAfterRounding, CurveFailure, DDError,
                      GapViolation, Infeasible, InsufficientSpan, NoCrossing,
                      NonIntegrableSpectrum, NonMonotonic, NoPeak,
@@ -54,6 +54,6 @@ __all__ = [
     "min_gap", "modified_filter_value", "monte_carlo_w", "omega_f1",
     "optimize_badd", "optimize_lodd", "optimize_ofdd", "oracle_report",
     "passband_stats", "quantize_timing", "reflect", "rescale_time", "rolloff",
-    "sample_filter", "sampling_vector", "thread_count", "white_fid_chi",
+    "sample_filter", "sampling_vector", "white_fid_chi",
     "__version__",
 ]

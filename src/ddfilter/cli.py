@@ -3,9 +3,8 @@
 Subcommands: filter, coherence, metrics, compare, optimize (lodd, ofdd,
 badd), oracle, figures. Every run ends with a one-line JSON summary on
 stdout; file outputs are written atomically. Exit codes: 0 success, 1
-domain/numeric failure (reported as one-line JSON on stderr), 2 usage.
-Worker threads for coherence sweeps come from the DD_THREADS environment
-variable (unset or 0 picks a machine default).
+domain/numeric failure, bad input value or unreadable file (reported as
+one-line JSON on stderr), 2 usage.
 """
 
 import argparse
@@ -346,7 +345,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DDError as exc:
+    except (DDError, ValueError, OSError) as exc:
         sys.stderr.write(io.dumps_json(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

@@ -12,6 +12,11 @@ with segment lengths g_k, midpoints m_k and alternating signs s_k.
 This is the same expression term for term, but each summand vanishes
 with u, so the deep small-u cancellation happens analytically instead
 of in floating point (the naive phasor sum loses ~5 digits at u=1e-2).
+
+The same filter also has the pairwise form F(u) = sum_jk c_j c_k
+cos(u (t_j - t_k)) over the switching times t_k of the toggling function
+and their coefficients c_k (pair_sums), which turns overlaps of F with a
+kernel into sums over pairs of switching times.
 """
 
 from dataclasses import dataclass
@@ -31,6 +36,58 @@ def _segment_sum(deltas, u):
     amp = s[:, None] * np.sin(np.outer(g, u) / 2.0)
     z = (amp * np.exp(1j * np.outer(m, u))).sum(axis=0)
     return z
+
+
+_PAIR_BLOCK = 1 << 20      # pairs per block: bounds pair_sums' memory
+# Rounding bound on a pair_sums total per unit of its magnitude sum: a few
+# ulp per kernel value and product plus the summation, with a wide margin.
+PAIR_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _switching_times(seq):
+    """(anchors, offsets, c) with F(u) = |sum_k c_k e^(iu(anchor_k + offset_k))|^2.
+
+    Instantaneous pulses switch at 0, delta_j and 1 with c = (1, 2(-1)^j,
+    (-1)^(n+1)); free decay has c = (1/2, -1/2) at 0 and 1. A pulse of
+    width r blanks the toggling function on delta_j -+ r/2, so its
+    coefficient splits into two halves at the window edges. Times are
+    kept as anchor + offset so that the lag across one window is exactly r.
+    """
+    d = np.asarray(seq.deltas, dtype=float)
+    n = d.size
+    if n == 0:
+        return np.array([0.0, 1.0]), np.zeros(2), np.array([0.5, -0.5])
+    signs = (-1.0) ** np.arange(1, n + 1)
+    last = (-1.0) ** (n + 1)
+    if seq.width_ratio == 0:
+        return (np.concatenate([[0.0], d, [1.0]]), np.zeros(n + 2),
+                np.concatenate([[1.0], 2.0 * signs, [last]]))
+    h = 0.5 * seq.width_ratio
+    return (np.concatenate([[0.0], np.repeat(d, 2), [1.0]]),
+            np.concatenate([[0.0], np.tile([-h, h], n), [0.0]]),
+            np.concatenate([[1.0], np.repeat(signs, 2), [last]]))
+
+
+def pair_sums(seq, kernel):
+    """Pairwise overlap of the filter with an even kernel of the lag.
+
+    Returns (sum_{j<k} c_j c_k K(t_k - t_j), sum_{j<k} |c_j c_k K(t_k - t_j)|,
+    c) over the switching times of seq (finite width included); the
+    second sum scales the rounding error of the first. kernel maps an
+    array of positive lags (fractions of the total time) to K.
+    """
+    a, o, c = _switching_times(seq)
+    m = c.size
+    total = magnitude = 0.0
+    rows = max(1, _PAIR_BLOCK // m)
+    cols = np.arange(m)
+    for i0 in range(0, m - 1, rows):
+        j, k = np.nonzero(np.arange(i0, min(i0 + rows, m - 1))[:, None] < cols)
+        j += i0
+        w = c[j] * c[k] * kernel((a[k] - a[j]) + (o[k] - o[j]))
+        total += w.sum()
+        magnitude += np.abs(w).sum()
+    return float(total), float(magnitude), c
 
 
 def _alternating_sum(deltas, u):

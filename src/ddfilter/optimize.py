@@ -13,17 +13,17 @@ affine squeeze of the simplex, and infeasible starting gaps are first
 projected (Euclidean) onto the constrained set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .coherence import chi
 from .errors import DDError, Infeasible, NotConverged
+from .filters import PAIR_ROUNDING, filter_value, pair_sums
 from .quadrature import QuadratureConfig, build_edges, integrate
 from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
-from .spectra import PowerLaw, SupraOhmicExp, Tabulated
-from .filters import filter_value
+from .spectra import PowerLaw, Tabulated
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ def _unsqueeze(gaps, gmin):
 # ------------------------------------------------------------------ objectives
 
 _OBJ_QUAD = QuadratureConfig(rel_tol=1e-7, max_subdivisions=8)
+_AREA_QUAD = QuadratureConfig(rel_tol=1e-9, max_subdivisions=6)
 
 
 def _chi_objective(spec, tau):
@@ -124,13 +125,27 @@ def _chi_objective(spec, tau):
 
 
 def _area_objective(u_max, resolution=8):
-    edges = build_edges(0.0, float(u_max), max_panel=2.0 * np.pi / resolution)
+    """Filter area on [0, u_max]: the exact pairwise sine sum
+
+        int_0^U F(u) du = U sum_k c_k^2 + 2 sum_{j<k} c_j c_k sin(U dt_jk) / dt_jk,
+
+    or, when its rounding bound 64 eps U (sum_k |c_k|)^2 (every kernel
+    value and its argument error are bounded by U) exceeds a tenth of the
+    quadrature's relative tolerance, quadrature of the cancellation-free
+    filter.
+    """
+    u_max = float(u_max)
+    edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / resolution)
 
     def f(deltas):
         seq = make_custom(deltas)
-        value, _err, _np_ = integrate(
-            lambda u: filter_value(seq, u), edges,
-            QuadratureConfig(rel_tol=1e-9, max_subdivisions=6), raise_on_fail=False)
+        total, _mag, c = pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
+        value = u_max * float(c @ c) + 2.0 * total
+        bound = PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2
+        if bound <= 0.1 * _AREA_QUAD.rel_tol * value:
+            return value
+        value, _err, _np_ = integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD,
+                                      raise_on_fail=False)
         return value
     return f
 
@@ -178,9 +193,8 @@ def _kernel_chi_objective(spec, tau, n_delta=40001, resolution=8):
 
 
 def _supports_kernel(spec):
-    """True when S/omega^2 has finite total mass (kernel form applicable)."""
-    if isinstance(spec, SupraOhmicExp):
-        return True
+    """True for the spectra without a closed-form structure function whose
+    S/omega^2 has finite total mass (kernel form applicable)."""
     if isinstance(spec, PowerLaw):
         return spec.exponent > 1.0 or spec.omega_lo > 0.0
     if isinstance(spec, Tabulated):
@@ -322,11 +336,12 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     """Minimum-gap-constrained optimization over pulse count and positions.
 
     For each n up to min(n_max, floor(tau/tau_switch) - 1), runs the
-    constrained position optimization (inner objective: the pairwise
-    kernel form when the spectrum admits it, else quadrature chi), then
-    re-evaluates every per-n winner with quadrature chi and returns the
-    overall best. Baselines are the projected (feasible) canonical
-    sequences at the winning n.
+    constrained position optimization and returns the overall best. The
+    inner objective is chi itself (pairwise wherever the spectrum has a
+    structure function), except for power-law and tabulated spectra with
+    finite S/omega^2 mass: there a tabulated pairwise kernel is the fast
+    surrogate and every per-n winner is re-scored with chi. Baselines are
+    the projected (feasible) canonical sequences at the winning n.
     """
     cfg = cfg or OptimizationConfig()
     if not tau > tau_switch > 0:
@@ -338,8 +353,8 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
             f"tau_switch={tau_switch:g} leaves no room for one pulse in tau={tau:g}")
 
     fast = _supports_kernel(spec)
-    inner = _kernel_chi_objective(spec, tau) if fast else _chi_objective(spec, tau)
     true_chi = _chi_objective(spec, tau)
+    inner = _kernel_chi_objective(spec, tau) if fast else true_chi
 
     per_n = []
     entries = []
@@ -353,7 +368,7 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
             deltas = seq_d
         else:
             best, deltas, _bl, _cands = out
-        value = float(true_chi(deltas))
+        value = float(true_chi(deltas)) if fast else best["objective"]
         entries.append((value, n, best["start_index"], best, deltas))
         per_n.append({"n": n, "objective": value, "converged": best["converged"]})
     entries.sort(key=lambda e: (e[0], e[1], e[2]))

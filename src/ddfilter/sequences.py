@@ -6,7 +6,7 @@ pulse-width ratio r = tau_pi / tau_total (0 means instantaneous pulses).
 n = 0 is free-induction decay (FID).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,6 @@ from .errors import (
     NonMonotonic,
     OutOfRange,
 )
-
-FAMILIES = ("fid", "cpmg", "pdd", "udd", "custom")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,40 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv
+from scipy.special import gammainccinv, sici
 
 from .errors import BadConfig, NonIntegrableSpectrum
+
+_EULER = 0.5772156649015329
+# Maclaurin coefficients in x^2 (constant term first), exact to double
+# precision for x <= 2, where gamma + ln x - Ci(x) and x Si(x) - (1 - cos x)
+# lose digits to cancellation.
+_CIN_SERIES = np.array([0.0] + [(-1.0) ** (k + 1) / (2 * k * math.factorial(2 * k))
+                                 for k in range(1, 14)])
+_WHITE_SERIES = np.array([0.0] + [(-1.0) ** k / ((2 * k + 1) * math.factorial(2 * k + 2))
+                                   for k in range(0, 13)])
+_SERIES_MAX_X = 2.0
+
+
+def _series_or(x, coeffs, closed_form):
+    """sum_k coeffs[k] x^(2k) (Horner) below _SERIES_MAX_X, closed_form above."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < _SERIES_MAX_X
+    out[small] = np.polynomial.polynomial.polyval(x[small] ** 2, coeffs)
+    if not small.all():
+        out[~small] = closed_form(x[~small])
+    return out
+
+
+def _cin(x):
+    """Cin(x) = int_0^x (1 - cos s) / s ds = gamma + ln x - Ci(x), x >= 0."""
+    return _series_or(x, _CIN_SERIES, lambda y: _EULER + np.log(y) - sici(y)[1])
+
+
+def _white_core(x):
+    """int_0^x (1 - cos s) / s^2 ds, times x: x Si(x) - (1 - cos x), x >= 0."""
+    return _series_or(x, _WHITE_SERIES, lambda y: y * sici(y)[0] - 2.0 * np.sin(0.5 * y) ** 2)
 
 
 @dataclass(frozen=True)
@@ -30,6 +61,10 @@ class OhmicSharpCutoff:
     def evaluate(self, omega):
         omega = _check_omega(omega)
         return np.where(omega <= self.omega_d, self.amplitude * omega, 0.0)
+
+    def structure_function(self, t):
+        """D(t) = (2/pi) int S (1 - cos omega t) / omega^2 domega = (2A/pi) Cin(omega_d t)."""
+        return (2.0 * self.amplitude / np.pi) * _cin(self.omega_d * np.asarray(t, dtype=float))
 
     def effective_support(self, epsilon):
         return (0.0, self.omega_d)
@@ -58,6 +93,13 @@ class WhiteBand:
     def evaluate(self, omega):
         omega = _check_omega(omega)
         return np.where(omega <= self.omega_hi, self.level, 0.0)
+
+    def structure_function(self, t):
+        """D(t) = (2 S0 / (pi omega_hi)) (x Si(x) - (1 - cos x)), x = omega_hi t."""
+        if not math.isfinite(self.omega_hi):
+            raise NonIntegrableSpectrum("unbounded white band has no finite support")
+        x = self.omega_hi * np.asarray(t, dtype=float)
+        return (2.0 * self.level / (np.pi * self.omega_hi)) * _white_core(x)
 
     def effective_support(self, epsilon):
         if not math.isfinite(self.omega_hi):
@@ -153,6 +195,14 @@ class SupraOhmicExp:
     def evaluate(self, omega):
         omega = _check_omega(omega)
         return self.alpha * omega ** 3 * np.exp(-omega / self.omega_c)
+
+    def structure_function(self, t):
+        """D(t) = (2 alpha/pi) t^2 (3a^2 + t^2) / (a^2 (a^2 + t^2)^2), a = 1/omega_c.
+
+        Written in s = omega_c t, which needs no subtraction at any t.
+        """
+        s2 = (self.omega_c * np.asarray(t, dtype=float)) ** 2
+        return (2.0 * self.alpha * self.omega_c ** 2 / np.pi) * s2 * (3.0 + s2) / (1.0 + s2) ** 2
 
     def effective_support(self, epsilon):
         # S/omega^2 = alpha*omega*exp(-omega/omega_c): tail fraction of the

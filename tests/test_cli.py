@@ -217,3 +217,25 @@ def test_subprocess_entry_points(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "metrics"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("filter", "--family", "cpmg", "--n", "0"), "ValueError"),
+    (("coherence", "--family", "udd", "--n", "4", "--spectrum", "{missing}",
+      "--tau", "1"), "FileNotFoundError"),
+    (("coherence", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "nan"),
+     "ValueError"),
+    (("coherence", "--seq", "udd:4", "--spectrum", "{malformed}", "--tau", "1"),
+     "JSONDecodeError"),
+])
+def test_bad_input_is_one_line_json_error(tmp_path, capsys, ohmic_file, argv, error):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    out = tmp_path / "out.csv"
+    argv = [a.format(ohmic=ohmic_file, malformed=malformed,
+                     missing=tmp_path / "missing.json") for a in argv]
+    code, summary, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1 and summary is None
+    msg = json.loads(err.strip())
+    assert msg["error"] == error and msg["message"]
+    assert not out.exists()

@@ -7,10 +7,14 @@ from ddfilter import (
     Infeasible,
     OhmicSharpCutoff,
     OptimizationConfig,
+    QuadratureConfig,
     SupraOhmicExp,
     WhiteBand,
+    build_edges,
     chi,
     filter_area,
+    filter_value,
+    integrate,
     make_canonical,
     make_custom,
     max_order,
@@ -26,6 +30,7 @@ from ddfilter.optimize import (
     project_gaps,
     _kernel_chi_objective,
 )
+from ddfilter.filters import pair_sums
 
 OHMIC = OhmicSharpCutoff(amplitude=1.0, omega_d=1.0)
 SUPRA = SupraOhmicExp(alpha=1.14e-2, omega_c=3.0)
@@ -138,6 +143,19 @@ def test_filter_area_positive_and_increasing():
     a5 = filter_area(make_canonical("udd", 6), 5.0)
     a10 = filter_area(make_canonical("udd", 6), 10.0)
     assert 0 < a5 < a10
+
+
+def test_pairwise_area_matches_quadrature():
+    """The exact pairwise sine sum is the quadrature area of the filter."""
+    cfg = QuadratureConfig(rel_tol=1e-9, max_subdivisions=6)
+    for seq, u_max in [(make_canonical("pdd", 2), 4.0), (make_canonical("udd", 6), 10.0),
+                       (make_canonical("cpmg", 6), 10.0), (make_custom([0.2, 0.3, 0.9]), 7.5)]:
+        total, _mag, c = pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
+        pairwise = u_max * float(c @ c) + 2.0 * total
+        edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 8)
+        quad, _err, _panels = integrate(lambda u: filter_value(seq, u), edges, cfg)
+        assert pairwise == pytest.approx(quad, rel=1e-9)
+        assert filter_area(seq, u_max) == pairwise
 
 
 def test_badd_infeasible_switch_time():
