@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-Every domain error derives from DDError so callers (and the CLI) can
-distinguish computation failures (exit 1) from usage/config mistakes
-(exit 2, see BadConfig).
+Every domain error derives from DDError so callers can catch them
+together. The CLI reports any of them, config mistakes (BadConfig)
+included, as a one-line JSON error with exit code 1; exit code 2 is
+argparse's, for malformed command lines.
 """
 
 
@@ -105,4 +106,4 @@ class UnderResolved(DDError):
 # ---------------------------------------------------------------------- cli
 
 class BadConfig(DDError):
-    """Malformed config file or inconsistent CLI arguments (exit code 2)."""
+    """Malformed config file or inconsistent CLI arguments (CLI exit code 1)."""

@@ -1,7 +1,8 @@
 """Serialization: round-trip float JSON, atomic file writes, CSV tables.
 
 All floats are emitted with 17 significant digits so that written values
-parse back to the identical double; all file writes go through a
+parse back to the identical double (JSON has no inf or NaN, so those are
+written as null there; CSV keeps Infinity and NaN); all file writes go through a
 temporary file in the destination directory followed by os.replace, so
 readers never observe a partially written file.
 """
@@ -27,7 +28,10 @@ def format_float(x):
 
 
 def dumps_json(obj, indent=None):
-    """json.dumps with deterministic 17-digit floats and numpy support."""
+    """json.dumps with deterministic 17-digit floats and numpy support.
+
+    Non-finite floats become null, so the output is strict JSON.
+    """
 
     def emit(o, level):
         pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
@@ -36,7 +40,7 @@ def dumps_json(obj, indent=None):
         if isinstance(o, bool) or o is None:
             return json.dumps(o)
         if isinstance(o, (np.floating, float)):
-            return format_float(float(o))
+            return format_float(float(o)) if math.isfinite(o) else "null"
         if isinstance(o, (np.integer, int)):
             return str(int(o))
         if isinstance(o, str):

@@ -5,6 +5,7 @@ sequence comparison.
 Conventions: dB = 10*log10(F) (power), octave = factor 2 in u.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -172,7 +173,8 @@ def passband_stats(samples, n=None, points=20001):
 
     The log-spaced sample grid under-resolves the passband oscillation,
     so the statistic re-evaluates the same variant on a dense linear
-    grid. Returns (mean, ripple_db, relative deviation from 4n+2).
+    grid. Returns (mean, ripple_db, relative deviation from 4n+2);
+    ripple_db is inf when F touches 0 on that grid (cpmg2 does).
     """
     if n is None:
         n = samples.n
@@ -183,7 +185,8 @@ def passband_stats(samples, n=None, points=20001):
     uu = np.linspace(PASSBAND_LO, PASSBAND_HI, points)
     vals = samples.evaluate(uu)
     mean = float(np.trapezoid(vals, uu) / (PASSBAND_HI - PASSBAND_LO))
-    ripple_db = float(10.0 * np.log10(vals.max() / vals.min()))
+    lowest = vals.min()
+    ripple_db = float(10.0 * np.log10(vals.max() / lowest)) if lowest > 0 else math.inf
     target = 4.0 * n + 2.0
     return PassbandStats(mean, ripple_db, abs(mean - target) / target)
 

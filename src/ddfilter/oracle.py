@@ -8,6 +8,16 @@ Two routes to the same decoherence integral, sharing no code path with
 * a Monte Carlo average over synthesized stationary Gaussian noise
   realizations.
 
+Both routes sum phasors e^(i omega k dt) over the uniform grid k < N. With
+k = q b + j and b = ceil(sqrt(N)) such a phasor is A[q] B[j], where
+A[q] = e^(i omega q b dt) and B[j] = e^(i omega j dt), so no N-wide table
+is built: a grid autocovariance is one matrix product of the weighted A
+with B, and a Monte Carlo mode transform sums A against B times the
+toggling vector folded into b columns (the four-step FFT factorisation;
+Bailey, J. Supercomputing 4, 23 (1990)). A frequency costs about 2 sqrt(N)
+complex products and 2 log2(sqrt(N)) exponentials, and blocks of
+frequencies keep memory bounded at any tau.
+
 The toggling function is stored as exact per-cell time averages: a cell
 containing a sign flip (or a finite-width pulse window, where the
 toggling value is zero) gets the integral of the piecewise-constant
@@ -17,6 +27,7 @@ bias of nearest-cell flips, which otherwise dominates the comparison for
 strongly clustered sequences.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +40,7 @@ from .spectra import eval_spectrum
 
 KAPPA = 2.0          # chi = kappa * (quadratic form); phase variance = chi/2
 MC_PHASE = 2.0 * np.sqrt(2.0)  # cos(MC_PHASE * phi) averages to e^(-chi)
+_PHASOR_BLOCK = 1 << 20  # complex elements of A and B together per omega block
 
 
 class SamplingVector(NamedTuple):
@@ -51,6 +63,8 @@ def sampling_vector(seq, tau, n_steps):
     Raises UnderResolved when the cell width exceeds 1/8 of the smallest
     inter-pulse gap; flips would then alias across cells.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
     n_steps = int(n_steps)
     if n_steps < 8:
         raise UnderResolved("need at least 8 cells")
@@ -92,16 +106,77 @@ def sampling_vector(seq, tau, n_steps):
     return SamplingVector(y, dt, amp, tau)
 
 
+def _powers(x, m):
+    """Rows e^(i k x) for k < m.
+
+    Row k is the product of the directly computed rows at the powers of
+    two in k, so it stays within a few ulps of exp(1j * k * x).
+    """
+    out = np.empty((m, x.size), dtype=complex)
+    out[0] = 1.0
+    w = 1
+    while w < m:
+        k = min(w, m - w)
+        np.multiply(out[:k], np.exp(1j * w * x), out=out[w:w + k])
+        w *= 2
+    return out
+
+
+def _grid_phasors(omega, dt, n):
+    """e^(i omega k dt) for k = q b + j < n as A[q] * B[j], b = ceil(sqrt(n)).
+
+    A[q] = e^(i omega q b dt) (ceil(n / b) rows) and B[j] = e^(i omega j dt)
+    (b rows) run along omega; returns (A, B, b).
+    """
+    b = math.isqrt(n - 1) + 1
+    x = omega * dt
+    return _powers(b * x, -(-n // b)), _powers(x, b), b
+
+
+def _omega_blocks(size, n):
+    """Slices of an omega axis whose A and B hold at most _PHASOR_BLOCK elements."""
+    b = math.isqrt(n - 1) + 1
+    step = max(1, _PHASOR_BLOCK // (b + -(-n // b)))
+    return [slice(i, i + step) for i in range(0, size, step)]
+
+
+def _grid_cos_sum(weights, omega, dt, n):
+    """sum_m weights[m] cos(omega[m] k dt) for k < n."""
+    out = np.zeros(n)
+    for sl in _omega_blocks(omega.size, n):
+        A, B, _ = _grid_phasors(omega[sl], dt, n)
+        A *= weights[sl]
+        out += (A @ B.T).real.ravel()[:n]
+    return out
+
+
+def _grid_transform(values, omega, dt):
+    """sum_k values[k] e^(i omega[m] k dt) for every m."""
+    n = values.size
+    out = np.empty(omega.size, dtype=complex)
+    for sl in _omega_blocks(omega.size, n):
+        A, B, b = _grid_phasors(omega[sl], dt, n)
+        folded = np.zeros(A.shape[0] * b)
+        folded[:n] = values
+        A *= folded.reshape(-1, b) @ B
+        out[sl] = A.sum(axis=0)
+    return out
+
+
 def autocovariance(spec, lags, cfg=None):
     """C(lag) = (1/pi) * integral_0^inf S(omega) cos(omega * lag) domega.
 
     Vectorized over lags on shared Gauss-Legendre panels; panel width is
     capped so the fastest cosine (largest lag) stays resolved, and a
-    lower-order rule on the same panels bounds the error.
+    lower-order rule on the same panels bounds the error. Lags that are
+    exactly the grid arange(N) * dt go through factored grid phasors;
+    others through a blocked cosine table.
     """
     cfg = cfg or QuadratureConfig()
     scalar = np.isscalar(lags)
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
+    grid = (lags.size > 1 and lags[1] > 0
+            and np.array_equal(lags, np.arange(lags.size) * lags[1]))
     lo, hi = spec.power_support(min(cfg.rel_tol / 10.0, 0.1))
     lag_max = float(np.abs(lags).max())
     cap = None
@@ -116,6 +191,8 @@ def autocovariance(spec, lags, cfg=None):
         om = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
         wts = (np.broadcast_to(wg[None, :], (a.size, order)) * hw[:, None]).ravel()
         sw = eval_spectrum(spec, om) * wts
+        if grid:
+            return _grid_cos_sum(sw, om, lags[1], lags.size) / np.pi
         out = np.empty(lags.size)
         blk = max(1, int(4e6) // max(om.size, 1))
         for i in range(0, lags.size, blk):
@@ -156,8 +233,11 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed, n_modes=None):
     Noise is a sum of n_modes cosines with amplitudes sqrt(S(omega_k)
     d_omega / pi) and independent uniform phases; each realization uses
     its own jump-ahead substream of a PCG64 stream, so results for the
-    first M realizations are independent of the total count.
+    first M realizations are independent of the total count. Needs at
+    least two realizations, so that the standard error exists.
     """
+    if int(n_realizations) < 2:
+        raise ValueError(f"n_realizations must be >= 2, got {n_realizations!r}")
     sv = sampling_vector(seq, tau, n_steps)
     lo, hi = spec.power_support(1e-9)
     if hi <= lo:
@@ -170,9 +250,9 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed, n_modes=None):
     if not np.any(amps > 0):
         return MCResult(1.0, 0.0, int(n_realizations), int(seed))
 
-    t_mid = (np.arange(n_steps) + 0.5) * sv.dt
-    phase_mat = np.exp(1j * np.outer(om, t_mid))
-    y_hat = sv.amplitude * sv.dt * (phase_mat @ sv.values)
+    # cell midpoints (k + 1/2) dt: the grid transform times e^(i omega dt/2)
+    y_hat = (sv.amplitude * sv.dt * np.exp(0.5j * om * sv.dt)
+             * _grid_transform(sv.values, om, sv.dt))
     re, im = amps * y_hat.real, amps * y_hat.imag
 
     root = np.random.PCG64(int(seed))

@@ -53,14 +53,14 @@ class PulseSequence:
 
 
 def _validate(deltas, width_ratio):
-    if width_ratio < 0:
+    if not width_ratio >= 0:
         raise OutOfRange(f"width_ratio must be >= 0, got {width_ratio}")
     arr = np.asarray(deltas, dtype=float)
     if arr.size == 0:
         return  # FID
-    if np.any(np.diff(arr) <= 0):
+    if not np.all(np.diff(arr) > 0):
         raise NonMonotonic(f"deltas must be strictly increasing, got {list(arr)}")
-    if arr[0] <= 0.0 or arr[-1] >= 1.0:
+    if not (arr[0] > 0.0 and arr[-1] < 1.0):
         raise OutOfRange(f"deltas must lie strictly inside (0, 1), got {list(arr)}")
     if width_ratio > 0:
         r = width_ratio

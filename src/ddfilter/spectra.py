@@ -55,7 +55,7 @@ class OhmicSharpCutoff:
     omega_d: float
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.omega_d <= 0:
+        if not (self.amplitude >= 0 and self.omega_d > 0):
             raise BadConfig("ohmic spectrum needs amplitude >= 0 and omega_d > 0")
 
     def evaluate(self, omega):
@@ -87,7 +87,7 @@ class WhiteBand:
     omega_hi: float
 
     def __post_init__(self):
-        if self.level < 0 or self.omega_hi <= 0:
+        if not (self.level >= 0 and self.omega_hi > 0):
             raise BadConfig("white band needs level >= 0 and omega_hi > 0")
 
     def evaluate(self, omega):
@@ -133,9 +133,9 @@ class PowerLaw:
     omega_hi: float
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise BadConfig("power law needs amplitude >= 0")
-        if self.omega_lo < 0 or self.omega_hi <= self.omega_lo:
+        if not (self.amplitude >= 0 and math.isfinite(self.exponent)):
+            raise BadConfig("power law needs amplitude >= 0 and a finite exponent")
+        if not (0 <= self.omega_lo < self.omega_hi):
             raise BadConfig("power law needs 0 <= omega_lo < omega_hi")
         if self.exponent <= -1 and self.omega_lo <= 0:
             raise NonIntegrableSpectrum(
@@ -189,7 +189,7 @@ class SupraOhmicExp:
     omega_c: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.omega_c <= 0:
+        if not (self.alpha >= 0 and self.omega_c > 0):
             raise BadConfig("supra-ohmic spectrum needs alpha >= 0 and omega_c > 0")
 
     def evaluate(self, omega):
@@ -232,9 +232,9 @@ class Tabulated:
         sv = np.asarray(self.values, dtype=float)
         if om.size < 2 or om.size != sv.size:
             raise BadConfig("tabulated spectrum needs >= 2 (omega, S) pairs")
-        if om[0] <= 0 or np.any(np.diff(om) <= 0):
+        if not (om[0] > 0 and np.all(np.diff(om) > 0)):
             raise BadConfig("tabulated abscissae must be positive and strictly increasing")
-        if np.any(sv < 0):
+        if not np.all(sv >= 0):
             raise BadConfig("tabulated S values must be non-negative")
         object.__setattr__(self, "omegas", tuple(float(x) for x in om))
         object.__setattr__(self, "values", tuple(float(x) for x in sv))

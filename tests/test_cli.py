@@ -113,6 +113,19 @@ def test_metrics_json(tmp_path, capsys):
     assert doc["n"] == 4
 
 
+def test_metrics_json_is_strict_when_ripple_is_infinite(tmp_path, capsys):
+    """cpmg2's F touches 0 in the passband: the infinite ripple is null."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "m.json"
+    code = main(["metrics", "--family", "cpmg", "--n", "2", "--out", str(out)])
+    assert code == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    for text in (line, out.read_text()):
+        assert json.loads(text, parse_constant=reject)["passband_ripple_db"] is None
+
+
 def test_compare_csv(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, summary, _ = run(capsys, "compare", "--a", "udd:6", "--b", "cpmg:6",
@@ -227,6 +240,8 @@ def test_subprocess_entry_points(tmp_path):
      "ValueError"),
     (("coherence", "--seq", "udd:4", "--spectrum", "{malformed}", "--tau", "1"),
      "JSONDecodeError"),
+    (("oracle", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "1",
+      "--n-steps", "1024", "--mc", "1"), "ValueError"),
 ])
 def test_bad_input_is_one_line_json_error(tmp_path, capsys, ohmic_file, argv, error):
     malformed = tmp_path / "malformed.json"

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,14 @@ def test_passband_stats_reference_deviations():
         assert ps.mean > 0
         assert ps.deviation == pytest.approx(want, abs=3e-3)
         assert ps.ripple_db > 0
+
+
+def test_passband_ripple_infinite_without_warning():
+    """cpmg2's F has an exact zero in the passband."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = filter_metrics(_samples("cpmg", 2, ppd=40))
+    assert m.passband_ripple_db == math.inf
 
 
 def test_passband_insufficient_span():

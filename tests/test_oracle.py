@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ddfilter import (
     NonIntegrableSpectrum,
     OhmicSharpCutoff,
+    SupraOhmicExp,
     UnderResolved,
     WhiteBand,
     autocovariance,
@@ -16,6 +20,7 @@ from ddfilter import (
     reflect,
     sampling_vector,
 )
+from ddfilter import oracle
 
 TAU = 1.0
 OHMIC = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)
@@ -41,6 +46,45 @@ def test_autocovariance_ohmic_analytic():
     assert autocovariance(OHMIC, 0.0) == pytest.approx(
         a * wd ** 2 / (2 * np.pi), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("n", [8, 1000, 8191, 8192])
+def test_grid_phasor_sums_match_dense(n, monkeypatch):
+    """Factored phasors reproduce the dense cos and exp tables over several
+    omega blocks."""
+    monkeypatch.setattr(oracle, "_PHASOR_BLOCK", 200)
+    rng = np.random.default_rng(n)
+    dt = 1.0 / n
+    om = rng.uniform(0.0, 60.0, 157)
+    assert len(oracle._omega_blocks(om.size, n)) > 1
+    t = np.arange(n) * dt
+    w = rng.standard_normal(om.size)
+    want = w @ np.cos(np.outer(om, t))
+    got = oracle._grid_cos_sum(w, om, dt, n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum()
+    y = rng.uniform(-1.0, 1.0, n)
+    want = np.exp(1j * np.outer(om, t)) @ y
+    got = oracle._grid_transform(y, om, dt)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(y).sum()
+
+
+def test_autocovariance_on_uniform_grid_closed_forms():
+    lags = np.arange(8192) * (TAU / 8192)
+    s0, w = WHITE.level, WHITE.omega_hi
+    safe = np.where(lags == 0, 1.0, lags)
+    want = np.where(lags == 0, s0 * w / np.pi, s0 * np.sin(w * lags) / (np.pi * safe))
+    got = autocovariance(WHITE, lags)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * want.max())
+    a, wd = OHMIC.amplitude, OHMIC.omega_d
+    want = np.where(lags == 0, a * wd ** 2 / (2 * np.pi),
+                    (a / np.pi) * (wd * np.sin(wd * lags) / safe
+                                   + (np.cos(wd * lags) - 1.0) / safe ** 2))
+    got = autocovariance(OHMIC, lags)
+    assert np.allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+    assert got[0] == pytest.approx(want[0], rel=1e-10)
+    # reversed lags are not the grid: the cosine-table path on the same panels
+    dense = autocovariance(OHMIC, lags[::-1])[::-1]
+    assert np.allclose(got, dense, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_autocovariance_rejects_unbounded_band():
@@ -148,3 +192,33 @@ def test_oracle_report_keys():
     assert rep["N"] == 2048 and rep["M"] == 200 and rep["seed"] == 2
     no_mc = oracle_report(make_canonical("cpmg", 4), OHMIC, TAU, 2048)
     assert "w_mc" not in no_mc
+
+
+def test_monte_carlo_memory_does_not_grow_with_tau():
+    """tau = 500 needs ~29,600 modes: a dense modes x steps table is 3.6 GB."""
+    tracemalloc.start()
+    try:
+        mc = monte_carlo_w(make_canonical("udd", 4), SupraOhmicExp(1.14e-2, 3.0),
+                           500.0, 50, 8192, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < mc.stderr and math.isfinite(mc.w)
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, 0.0])
+def test_oracle_rejects_bad_tau(tau):
+    seq = make_canonical("cpmg", 2)
+    with pytest.raises(ValueError, match="tau"):
+        sampling_vector(seq, tau, 1024)
+    with pytest.raises(ValueError, match="tau"):
+        grammian_chi(seq, OHMIC, tau, 1024)
+    with pytest.raises(ValueError, match="tau"):
+        monte_carlo_w(seq, OHMIC, tau, 10, 1024, seed=0)
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_monte_carlo_needs_two_realizations(m):
+    with pytest.raises(ValueError, match="n_realizations"):
+        monte_carlo_w(make_canonical("cpmg", 2), OHMIC, TAU, m, 1024, seed=0)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammainccinv
 
 from ddfilter import (
     BadConfig,
+    DDError,
     NonIntegrableSpectrum,
     OhmicSharpCutoff,
     PowerLaw,
@@ -14,6 +17,7 @@ from ddfilter import (
     eval_spectrum,
     from_dict,
     make_canonical,
+    make_custom,
     rescale_time,
 )
 
@@ -149,3 +153,26 @@ def test_from_dict_rejects_bad_config():
         from_dict({"variant": "nope"})
     with pytest.raises(BadConfig):
         from_dict({"variant": "ohmic", "bogus_field": 1.0})
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build, args", [
+    (OhmicSharpCutoff, (NAN, 1.0)),
+    (OhmicSharpCutoff, (0.1, NAN)),
+    (WhiteBand, (0.1, NAN)),
+    (WhiteBand, (NAN, 1.0)),
+    (SupraOhmicExp, (NAN, 1.0)),
+    (SupraOhmicExp, (0.1, NAN)),
+    (PowerLaw, (1.0, NAN, 0.1, 1.0)),
+    (PowerLaw, (1.0, -0.5, NAN, 1.0)),
+    (Tabulated, ((1.0, NAN), (1.0, 1.0))),
+    (Tabulated, ((1.0, 2.0), (1.0, NAN))),
+    (make_custom, ([0.2, NAN],)),
+    (make_custom, ([NAN],)),
+    (make_custom, ([0.5], NAN)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_constructors_reject_nan(build, args):
+    with pytest.raises(DDError):
+        build(*args)
