@@ -2,24 +2,37 @@
 
 chi = (2/pi) * integral_0^inf S(omega) F(omega*tau) / omega^2 domega.
 
-Two routes compute it. Because the filter's coefficients sum to zero,
+Three routes compute it. Because the filter's coefficients sum to zero,
 the overlap has the exact pairwise form (Cywinski et al., PRB 77, 174509
 (2008))
 
     chi = -sum_jk c_j c_k D(tau |t_j - t_k|),
     D(t) = (2/pi) * integral S(omega) (1 - cos omega t) / omega^2 domega,
 
-over the switching times t_k of the toggling function. Spectra with a
-closed-form D (a `structure_function` method: ohmic, white, supra-ohmic)
-take this route first. It costs one D evaluation per pair at any tau,
-but it cancels terms of size |c|^T |D| |c| down to chi, so deep in the
-stop band it loses every digit. Its rounding bound
-B = 64 eps |c|^T |D| |c| decides: the pairwise value is returned when
-B <= 0.1 * rel_tol * chi, and otherwise (and for power-law and tabulated
-spectra) chi comes from adaptive quadrature of the cancellation-free
-filter, truncated at the spectrum's effective support. All exponent
-conventions are anchored to the analytic white-noise FID result
-chi = S0*tau/2, which fixes the oracle calibration constants as well.
+over the switching times t_k of the toggling function.
+
+1. Pairwise. Spectra with a closed-form D (a `structure_function`
+   method: ohmic, white, supra-ohmic) take this route first. It costs one
+   D evaluation per pair at any tau, but it cancels terms of size
+   |c|^T |D| |c| down to chi, so deep in the stop band it loses every
+   digit. Its rounding bound B = 64 eps |c|^T |D| |c| decides: the
+   pairwise value is returned when B <= 0.1 * rel_tol * chi.
+2. Direct quadrature. Otherwise, and always for power-law and tabulated
+   spectra, adaptive quadrature of the cancellation-free segment sum for
+   F over the spectrum's effective support.
+3. Series quadrature. When B >= |value| the pairwise sum has no digit
+   left, so chi lies below the segment sum's rounding floor too; the same
+   quadrature then takes F from the moment series in the stop band
+   (filters.StopBandFilter). The test costs nothing: B and the value
+   come with the pairwise attempt.
+
+On both quadrature routes the chi weight the support drops, times max F,
+is added to the error, and the support is widened until it is within a
+tenth of the tolerance (only the supra-ohmic spectrum has such a tail).
+
+All exponent conventions are anchored to the analytic white-noise FID
+result chi = S0*tau/2, which fixes the oracle calibration constants as
+well.
 """
 
 import math
@@ -27,8 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveFailure
-from .filters import PAIR_ROUNDING, filter_value, filter_value_finite, pair_sums
+from .errors import CurveFailure, ToleranceNotMet
+from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
+                      filter_value_finite, pair_sums)
 from .quadrature import QuadratureConfig, build_edges, integrate
 from .spectra import effective_support
 
@@ -39,16 +53,20 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
     tau is the total sequence duration (pulse intervals included when
     seq.width_ratio > 0; the filter is then the finite-width one). The
     pairwise route runs when the spectrum has a closed-form structure
-    function and its rounding bound meets 0.1 * cfg.rel_tol; otherwise
-    quadrature runs. full_output adds a dict with the route taken
-    ("path": "pairwise" or "quadrature") and its "error_estimate".
-    Raises ToleranceNotMet with the best value attached when quadrature
-    refinement runs out.
+    function and its rounding bound B meets 0.1 * cfg.rel_tol; otherwise
+    quadrature runs, with the stop-band series for F when B >= |value|
+    (the pairwise sum has no digit left). full_output adds a dict with
+    the route taken ("path": "pairwise" or "quadrature") and its
+    "error_estimate"; quadrature adds "filter" ("direct" or "series"),
+    "panels" and "support", and the series its "series_degree" and
+    "crossover_u". Raises ToleranceNotMet with the best chi and its
+    achieved error attached when quadrature refinement runs out.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
     cfg = cfg or QuadratureConfig()
     structure = getattr(spec, "structure_function", None)
+    series = False
     if structure is not None:
         total, magnitude, _ = pair_sums(seq, lambda lag: structure(tau * lag))
         value = -2.0 * total + 0.0
@@ -57,34 +75,82 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
             if full_output:
                 return value, {"path": "pairwise", "error_estimate": bound}
             return value
-    return _chi_quadrature(seq, spec, tau, cfg, full_output)
+        series = bool(bound >= abs(value))
+    return _chi_quadrature(seq, spec, tau, cfg, full_output, series)
 
 
-def _chi_quadrature(seq, spec, tau, cfg=None, full_output=False):
-    """chi by adaptive quadrature. Panels are sized to resolve the filter's
-    passband oscillation (period 2*pi in u = omega*tau)."""
+def _chi_quadrature(seq, spec, tau, cfg=None, full_output=False, series=False):
+    """chi by adaptive quadrature over the spectrum's effective support.
+
+    With series=True F comes from StopBandFilter. On either route the
+    support's truncation enters the error: the chi weight of the spectrum
+    beyond the support (spec.tail_weight, where the spectrum has one)
+    times max F = (sum |c|)^2. The support is widened until that is at
+    most 0.1 * cfg.rel_tol * chi. A quadrature that gives up is retried
+    on the wider support when the tail it dropped could outweigh its best
+    value (a support that ends in the stop band leaves F below the
+    rounding floor).
+    """
     cfg = cfg or QuadratureConfig()
-    lo, hi = effective_support(spec, min(cfg.rel_tol / 10.0, 0.1))
-    if seq.width_ratio > 0:
-        r = seq.width_ratio
+    epsilon = min(cfg.rel_tol / 10.0, 0.1)
+    tail_weight = getattr(spec, "tail_weight", None)
+    peak = float(np.abs(_switching_times(seq)[2]).sum()) ** 2 if tail_weight else 0.0
+    for widening in range(_WIDENINGS + 1):
+        try:
+            result, err, info = _integrate_chi(seq, spec, tau, cfg, epsilon, series)
+            failed = False
+        except ToleranceNotMet as exc:
+            result, err, failed = exc.value, exc.achieved, True
+        dropped = tail_weight(epsilon) * peak if tail_weight else 0.0
+        if dropped == 0.0 or dropped <= 0.1 * cfg.rel_tol * result or widening == _WIDENINGS:
+            break
+        epsilon *= 0.05 * cfg.rel_tol * result / dropped
+        if not epsilon >= _MIN_EPSILON:
+            break
+    if failed or dropped > 0.1 * cfg.rel_tol * result:
+        raise _tolerance_not_met(result, err + dropped)
+    err += dropped
+    if full_output:
+        return result, {"path": "quadrature", "error_estimate": err, **info}
+    return result
 
-        def integrand(om):
-            u = om * tau
-            return spec.evaluate(om) * filter_value_finite(seq, u, r) / om ** 2
+
+_WIDENINGS = 3           # support widenings allowed per chi
+_MIN_EPSILON = 1e-300    # smallest support tail share asked of a spectrum
+
+
+def _integrate_chi(seq, spec, tau, cfg, epsilon, series):
+    """(chi, error, info) from quadrature on effective_support(spec, epsilon).
+    Panels are sized to resolve the filter's passband oscillation (period
+    2*pi in u = omega*tau)."""
+    lo, hi = effective_support(spec, epsilon)
+    if series:
+        filt = StopBandFilter(seq, hi * tau)
+        info = {"filter": "series", "series_degree": filt.degree,
+                "crossover_u": filt.crossover}
     else:
+        def filt(u):
+            return filter_value_finite(seq, u)
+        info = {"filter": "direct"}
 
-        def integrand(om):
-            u = om * tau
-            return spec.evaluate(om) * filter_value(seq, u) / om ** 2
+    def integrand(om):
+        return spec.evaluate(om) * filt(om * tau) / om ** 2
 
     max_panel = 2.0 * np.pi / (tau * cfg.oscillation_resolution)
     edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=max_panel)
-    value, err, panels = integrate(integrand, edges, cfg)
-    result = (2.0 / np.pi) * value
-    if full_output:
-        return result, {"path": "quadrature", "error_estimate": (2.0 / np.pi) * err,
-                        "panels": panels, "support": (lo, hi)}
-    return result
+    try:
+        value, err, panels = integrate(integrand, edges, cfg)
+    except ToleranceNotMet as exc:
+        raise _tolerance_not_met((2.0 / np.pi) * exc.value,
+                                 (2.0 / np.pi) * exc.achieved) from None
+    info.update(panels=panels, support=(lo, hi))
+    return (2.0 / np.pi) * value, (2.0 / np.pi) * err, info
+
+
+def _tolerance_not_met(value, achieved):
+    return ToleranceNotMet(
+        f"chi quadrature error {achieved:.3e} above tolerance for chi {value:.6e}",
+        value=value, achieved=achieved)
 
 
 def coherence_w(seq, spec, tau, cfg=None):
@@ -115,7 +181,8 @@ def coherence_curve(source, spec, tau_grid, cfg=None):
     source is either a fixed PulseSequence or a callable tau -> sequence
     (family at fixed n, or an optimizer output per tau). Per-point
     failures are aggregated into a single CurveFailure carrying
-    (index, exception) pairs.
+    (index, exception) pairs; its message names the first failure's
+    exception and, for ToleranceNotMet, its best value and achieved error.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if (taus.size == 0 or not np.all(np.isfinite(taus)) or np.any(taus <= 0)
@@ -134,7 +201,12 @@ def coherence_curve(source, spec, tau_grid, cfg=None):
             failures.append((i, exc))
     if failures:
         idx = [i for i, _ in failures]
-        raise CurveFailure(f"curve evaluation failed at indices {idx}", failures)
+        first = failures[0][1]
+        cause = f"{type(first).__name__}: {first}"
+        if isinstance(first, ToleranceNotMet):
+            cause += f" (value {first.value:.6e}, achieved {first.achieved:.3e})"
+        raise CurveFailure(f"curve evaluation failed at indices {idx}; first at "
+                           f"tau={taus[idx[0]]:.6g}: {cause}", failures)
     return CoherenceCurve(
         tau_grid=taus,
         chi_values=np.array([r[0] for r in results]),

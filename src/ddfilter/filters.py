@@ -17,11 +17,20 @@ The same filter also has the pairwise form F(u) = sum_jk c_j c_k
 cos(u (t_j - t_k)) over the switching times t_k of the toggling function
 and their coefficients c_k (pair_sums), which turns overlaps of F with a
 kernel into sums over pairs of switching times.
+
+The segment sum still has an absolute rounding floor of about
+eps * min(n + 1, u/2), far above F deep in the stop band, where F falls
+as u^(2(n+1)). There StopBandFilter sums the moment series
+z(u) = sum_m (iu/2)^m nu_m / m!, nu_m = sum_k c_k (2 t_k - 1)^m, whose
+moments are formed in double-double arithmetic, so F = |z|^2 keeps its
+relative precision however small it is.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import WidthOverflow
 from .sequences import PulseSequence, quantize_timing
@@ -141,6 +150,142 @@ def filter_value_finite(seq, u_prime, r=None):
         z = z - 2.0j * np.sin(uu * r / 4.0) ** 2 * _alternating_sum(seq.deltas, uu)
         out = 4.0 * (z.real ** 2 + z.imag ** 2)
     return float(out[0]) if scalar else out
+
+
+_EPS = np.finfo(float).eps
+_SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitting constant
+_TAIL_SHARE = 1.0 / 16.0    # Taylor tail allowed per unit of the series' rounding bound
+_SERIES_MAX_U = 512.0       # keeps the moment table (times x degree) small
+
+
+def _two_sum(a, b):
+    """(s, e) with s + e = a + b exactly and s = fl(a + b)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """(p, e) with p + e = a * b exactly and p = fl(a * b)."""
+    p = a * b
+    ca, cb = _SPLIT * a, _SPLIT * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(xh, xl, yh, yl):
+    """Double-double product, elementwise."""
+    p, e = _two_prod(xh, yh)
+    return _two_sum(p, e + (xh * yl + xl * yh))
+
+
+def _moments(seq, degree):
+    """nu_m = sum_k c_k x_k^m, x_k = 2 t_k - 1 in [-1, 1], for m = 0..degree.
+
+    x_k and its powers are double-double, the powers built by doubling
+    (the block m < 2^j times x^(2^j) gives the block m < 2^(j+1)), and
+    each nu_m is the correctly rounded sum (math.fsum) of the weighted
+    high parts and the sum of the low parts (every c_k is a signed power
+    of two, so c_k x is exact).
+    """
+    a, o, c = _switching_times(seq)
+    xh, xl = _two_sum(2.0 * a, -1.0)
+    xh, e = _two_sum(xh, 2.0 * o)
+    xh, xl = _two_sum(xh, xl + e)
+    ph = np.ones((degree + 1, c.size))
+    pl = np.zeros((degree + 1, c.size))
+    sh, sl = xh, xl                         # x^have
+    have = 1
+    while have <= degree:
+        # rows m < take and x^have itself, times x^have: the next block
+        # and the next multiplier x^(2 have) in one product
+        take = min(have, degree + 1 - have)
+        bh, bl = _dd_mul(np.vstack([ph[:take], sh]), np.vstack([pl[:take], sl]), sh, sl)
+        ph[have:have + take], pl[have:have + take] = bh[:take], bl[:take]
+        sh, sl = bh[take], bl[take]
+        have += take
+    # the low parts are summed in double: that rounding, like the powers',
+    # is eps^2 relative to sum_k |c_k x_k^m|
+    rows = np.concatenate([c * ph, (pl @ c)[:, None]], axis=1).tolist()
+    return np.array([math.fsum(row) for row in rows])
+
+
+def _factorial_series(nu, h):
+    """sum_m nu_m h^m / m! by nested Horner steps nu_(m-1) + (h/m) p."""
+    p = np.full(np.shape(h), nu[-1], dtype=np.result_type(h, float))
+    for m in range(len(nu) - 1, 0, -1):
+        p = nu[m - 1] + (h / m) * p
+    return p
+
+
+def _series_degree(h, bound):
+    """Smallest M whose Taylor tail bound h^(M+1) / (M+1)! / (1 - h/(M+2)),
+    the tail of sum_m h^m/m! past degree M, is at most bound."""
+    start = max(1, math.ceil(h))
+    m = np.arange(start, start + math.ceil(8.0 * h + abs(math.log(bound))) + 8)
+    log_tail = (m + 1) * math.log(h) - gammaln(m + 2) - np.log1p(-h / (m + 2))
+    return int(m[np.argmax(log_tail <= math.log(bound))])
+
+
+class StopBandFilter:
+    """F(u) for u <= u_max from whichever evaluator has the smaller rounding bound.
+
+    On z = sum_k c_k e^(iu t_k) the segment sum's bound is
+    eps * min(2n + 2, u) and the moment series' is
+    eps * sum_m |nu_m| (u/2)^m / m!. Their ratio grows with u (nu_0 = 0),
+    so they cross once: the series runs below `crossover` (found on a grid
+    with 2^(1/8) steps) and the segment sum above it, so F keeps its
+    relative precision deep in the stop band. The series stops at
+    `degree`, where the Taylor tail sum |c| (u/2)^(M+1)/(M+1)!/(1 - u/(2M+4))
+    is a sixteenth of the series' rounding bound at the crossover; the
+    ratio of tail to bound falls with u below it.
+    """
+
+    def __init__(self, seq, u_max):
+        self.seq = seq
+        self.degree, self.crossover = 0, 0.0
+        if seq.n == 0:
+            return      # sin^2(u/2) has no stop band
+        floor = 2.0 * seq.n + 2.0
+        u_top = min(float(u_max), floor, _SERIES_MAX_U)
+        total = float(np.abs(_switching_times(seq)[2]).sum())
+        # widen the search from u = 8 by doubling: the degree, and so the
+        # cost of the moments, grows with the range searched. The first
+        # degree suits a series bound down to eps times the segment sum's.
+        u_try, degree = min(u_top, 8.0), 0
+        while True:
+            degree = max(degree, _series_degree(u_try / 2.0,
+                                                _TAIL_SHARE * _EPS ** 2 * u_try / total))
+            nu = _moments(seq, degree)
+            grid = u_try * np.exp2(np.arange(-240, 1) / 8.0)
+            size = _factorial_series(np.abs(nu), grid / 2.0)
+            better = size < np.minimum(floor, grid)
+            if better.all() and u_try < u_top:
+                u_try = min(2.0 * u_try, u_top)
+                continue
+            i = grid.size - 1 if better.all() else int(np.argmin(better)) - 1
+            if i < 0:
+                return  # the segment sum is as good everywhere
+            need = _series_degree(grid[i] / 2.0, _TAIL_SHARE * _EPS * size[i] / total)
+            if need <= degree:
+                break
+            degree = need + 8
+        self.crossover = float(grid[i])
+        self.degree = need
+        self._nu = nu[:need + 1]
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        series = u <= self.crossover
+        if not series.any():
+            return filter_value_finite(self.seq, u)
+        out = np.empty_like(u)
+        z = _factorial_series(self._nu, 0.5j * u[series])
+        out[series] = z.real ** 2 + z.imag ** 2
+        if not series.all():
+            out[~series] = filter_value_finite(self.seq, u[~series])
+        return out
 
 
 def modified_filter_value(seq, omega, tau):

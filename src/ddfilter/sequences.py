@@ -143,13 +143,18 @@ def reflect(seq):
     )
 
 
+_MAX_ORDER = 10_000_001   # guards nonsense ratios; unreachable for physical inputs
+
+
 def max_order(family, tau, tau_switch):
     """Largest n whose minimum gap times tau still clears tau_switch.
 
-    Scans n upward (no closed form assumed, family-agnostic); returns 0
-    when even n=1 violates the constraint. Equality passes within a
-    relative float tolerance so exact-ratio cases are not lost to
-    representation noise.
+    The minimum gap of every family falls with n, so an exponential
+    search brackets the first n that fails and bisection finds it; each
+    probe builds the sequence (no closed form assumed). Returns 0 when
+    even n=1 violates the constraint, and at most 10,000,001. Equality
+    passes within a relative float tolerance so exact-ratio cases are not
+    lost to representation noise.
     """
     family = family.lower()
     if family not in ("cpmg", "pdd", "udd"):
@@ -157,12 +162,19 @@ def max_order(family, tau, tau_switch):
     if not tau > tau_switch > 0:
         raise ValueError("require tau > tau_switch > 0")
     limit = tau_switch * (1.0 - 1e-12)
-    n = 0
-    while True:
-        cand = n + 1
-        g = min_gap(make_canonical(family, cand))
-        if g * tau < limit:
-            return n
-        n = cand
-        if n > 10_000_000:  # unreachable for physical inputs; guards nonsense
-            return n
+
+    def clears(n):
+        return not min_gap(make_canonical(family, n)) * tau < limit
+
+    lo, hi = 0, 1            # clears(lo); hi is the next probe
+    while clears(hi):
+        if hi == _MAX_ORDER:
+            return hi
+        lo, hi = hi, min(2 * hi, _MAX_ORDER)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clears(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

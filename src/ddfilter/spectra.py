@@ -69,6 +69,10 @@ class OhmicSharpCutoff:
     def effective_support(self, epsilon):
         return (0.0, self.omega_d)
 
+    def tail_weight(self, epsilon):
+        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon)."""
+        return 0.0
+
     def power_support(self, epsilon):
         return (0.0, self.omega_d)
 
@@ -105,6 +109,10 @@ class WhiteBand:
         if not math.isfinite(self.omega_hi):
             raise NonIntegrableSpectrum("unbounded white band has no finite support")
         return (0.0, self.omega_hi)
+
+    def tail_weight(self, epsilon):
+        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon)."""
+        return 0.0
 
     def power_support(self, epsilon):
         if not math.isfinite(self.omega_hi):
@@ -208,6 +216,11 @@ class SupraOhmicExp:
         # S/omega^2 = alpha*omega*exp(-omega/omega_c): tail fraction of the
         # a=2 incomplete gamma drops below epsilon at x = gammainccinv(2, eps)
         return (0.0, self.omega_c * float(gammainccinv(2, epsilon)))
+
+    def tail_weight(self, epsilon):
+        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon):
+        epsilon of the total (2/pi) alpha omega_c^2."""
+        return (2.0 / np.pi) * self.alpha * self.omega_c ** 2 * epsilon
 
     def power_support(self, epsilon):
         # total power integrand omega^3 exp(): a=4 gamma tail

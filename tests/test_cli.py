@@ -254,3 +254,21 @@ def test_bad_input_is_one_line_json_error(tmp_path, capsys, ohmic_file, argv, er
     msg = json.loads(err.strip())
     assert msg["error"] == error and msg["message"]
     assert not out.exists()
+
+
+def test_curve_failure_is_one_line_json_with_its_cause(tmp_path, capsys):
+    """A power law with exponent 0 deep in a udd stop band: direct
+    quadrature runs out of refinement rounds at every tau."""
+    spec = tmp_path / "flat.json"
+    write_json(spec, {"variant": "powerlaw", "amplitude": 0.1, "exponent": 0.0,
+                      "omega_lo": 0.0, "omega_hi": 5.0})
+    out = tmp_path / "c.csv"
+    code, summary, err = run(capsys, "coherence", "--family", "udd", "--n", "12",
+                             "--spectrum", str(spec), "--tau-min", "0.5",
+                             "--tau-max", "0.6", "--tau-points", "2", "--out", str(out))
+    assert code == 1 and summary is None and len(err.strip().splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "CurveFailure"
+    assert "indices [0, 1]" in msg["message"]
+    assert "ToleranceNotMet" in msg["message"] and "achieved" in msg["message"]
+    assert not out.exists()

@@ -18,9 +18,11 @@ from ddfilter import (
     make_canonical,
     make_custom,
     min_gap,
+    reflect,
     white_fid_chi,
 )
 from ddfilter.coherence import _chi_quadrature
+from ddfilter.filters import PAIR_ROUNDING, _switching_times, pair_sums
 
 OHMIC = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)
 WHITE = WhiteBand(level=0.02, omega_hi=100.0)
@@ -90,9 +92,17 @@ def test_full_output_diagnostics():
     # no closed-form structure function: quadrature
     _, pdiag = chi(seq, PowerLaw(0.1, 0.5, 0.0, 5.0), 1.0, full_output=True)
     assert pdiag["path"] == "quadrature" and pdiag["panels"] >= 1
-    # deep stop band: the rounding bound sends chi to quadrature
+    assert qdiag["filter"] == "direct" and pdiag["filter"] == "direct"
+    # the stop band: the rounding bound sends chi to quadrature, which
+    # keeps the segment sum while the pairwise value has digits left ...
     _, sdiag = chi(make_canonical("udd", 6), OHMIC, 1.0, full_output=True)
-    assert sdiag["path"] == "quadrature"
+    assert sdiag["path"] == "quadrature" and sdiag["filter"] == "direct"
+    # ... and takes the moment series once it has none (B >= |chi|)
+    deep, ddiag = chi(make_canonical("udd", 12), OHMIC, 0.5, full_output=True)
+    assert ddiag["path"] == "quadrature" and ddiag["filter"] == "series"
+    assert ddiag["series_degree"] > 13 and ddiag["crossover_u"] == pytest.approx(2.5)
+    assert deep == pytest.approx(7.993577e-25, rel=1e-6)
+    assert ddiag["error_estimate"] <= 1e-8 * deep and ddiag["panels"] >= 1
 
 
 def test_finite_width_raises_chi_for_stopband_bath():
@@ -198,7 +208,13 @@ def test_pairwise_chi_matches_quadrature(seq, spec, depth):
     try:
         value, info = chi(seq, spec, tau, cfg, full_output=True)
     except ToleranceNotMet:
-        return  # deep stop band: the pairwise bound failed and so did quadrature
+        # Only the series route (B >= |chi|) still gives up: past its
+        # crossover (n ~ 100 and more) F lies below both evaluators'
+        # rounding floors, and three rounds can be too few for a widened
+        # supra-ohmic support.
+        total, magnitude, _ = pair_sums(seq, lambda lag: spec.structure_function(tau * lag))
+        assert 2.0 * PAIR_ROUNDING * magnitude >= abs(2.0 * total)
+        return
     assert value >= 0.0
     if info["path"] != "pairwise":
         return
@@ -210,3 +226,121 @@ def test_pairwise_chi_matches_quadrature(seq, spec, depth):
         allowed += (2.0 / np.pi) * spec.alpha * spec.omega_c ** 2 * cfg.rel_tol / 10.0 \
             * (4 * seq.n + 2) ** 2
     assert abs(value - quad) <= allowed
+
+
+def test_tolerance_failure_carries_chi_not_the_raw_integral():
+    """A power law with exponent 0 is the white band; deep in the stop band
+    its direct quadrature gives up, and the best value it carries is chi
+    (the raw integral would be pi/2 larger) next to the series route's."""
+    seq = make_canonical("udd", 12)
+    white, info = chi(seq, WhiteBand(0.1, 5.0), 0.5, full_output=True)
+    assert info["filter"] == "series"
+    with pytest.raises(ToleranceNotMet) as ei:
+        chi(seq, PowerLaw(0.1, 0.0, 0.0, 5.0), 0.5)
+    assert ei.value.value == pytest.approx(white, rel=1e-4)
+    assert 0.0 < ei.value.achieved < 1e-4 * white
+
+
+def test_curve_failure_names_its_cause():
+    taus = np.array([0.5, 0.6])
+    with pytest.raises(CurveFailure) as ei:
+        coherence_curve(make_canonical("udd", 12), PowerLaw(0.1, 0.0, 0.0, 5.0), taus)
+    msg = str(ei.value)
+    assert "indices [0, 1]" in msg and "ToleranceNotMet" in msg
+    first = ei.value.failures[0][1]
+    assert f"value {first.value:.6e}" in msg and f"achieved {first.achieved:.3e}" in msg
+
+
+def _d_mp(spec, t, mpmath):
+    """Closed-form structure function D(t) in mpmath."""
+    if isinstance(spec, OhmicSharpCutoff):
+        x = mpmath.mpf(spec.omega_d) * t
+        return 2 * mpmath.mpf(spec.amplitude) / mpmath.pi * (
+            mpmath.euler + mpmath.log(x) - mpmath.ci(x))
+    if isinstance(spec, WhiteBand):
+        w = mpmath.mpf(spec.omega_hi)
+        x = w * t
+        return 2 * mpmath.mpf(spec.level) / (mpmath.pi * w) * (
+            x * mpmath.si(x) - (1 - mpmath.cos(x)))
+    s2 = (mpmath.mpf(spec.omega_c) * t) ** 2
+    return 2 * mpmath.mpf(spec.alpha) * mpmath.mpf(spec.omega_c) ** 2 / mpmath.pi * \
+        s2 * (3 + s2) / (1 + s2) ** 2
+
+
+def _chi_mp(seq, spec, tau, mpmath):
+    """-2 sum_{j<k} c_j c_k D(tau (t_k - t_j)) in 60-digit arithmetic, with
+    the switching times exact (anchor + offset)."""
+    anchors, offsets, c = _switching_times(seq)
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(a)) + mpmath.mpf(float(o)) for a, o in zip(anchors, offsets)]
+        tau = mpmath.mpf(float(tau))
+        total = mpmath.mpf(0)
+        for j in range(len(t)):
+            for k in range(j + 1, len(t)):
+                total += float(c[j]) * float(c[k]) * _d_mp(spec, tau * (t[k] - t[j]), mpmath)
+        return float(-2 * total)
+
+
+def test_series_route_counts_the_supra_ohmic_tail():
+    """The supra-ohmic support is cut by S/omega^2 mass, not by the
+    filter: beyond it F is in the passband. The series route widens the
+    support until the dropped weight is within the tolerance."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = SupraOhmicExp(1.14e-2, 3.0)
+    seq = make_canonical("udd", 30)
+    value, info = chi(seq, spec, 0.5, full_output=True)
+    assert info["filter"] == "series"
+    assert info["support"][1] > spec.effective_support(1e-9)[1]
+    want = _chi_mp(seq, spec, 0.5, mpmath)
+    assert abs(value - want) <= max(info["error_estimate"], 1e-7 * want)
+
+
+def test_direct_route_counts_the_supra_ohmic_tail():
+    """The direct route widens the supra-ohmic support the same way: at
+    udd12, tau 0.2 the pairwise sum keeps a digit (direct quadrature), and
+    the support of rel_tol / 10 of the mass ends at u = 14.9, where half
+    of chi still lies beyond it."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = SupraOhmicExp(1.14e-2, 3.0)
+    seq = make_canonical("udd", 12)
+    value, info = chi(seq, spec, 0.2, full_output=True)
+    assert info["path"] == "quadrature" and info["filter"] == "direct"
+    assert info["support"][1] > spec.effective_support(1e-9)[1]
+    want = _chi_mp(seq, spec, 0.2, mpmath)
+    assert abs(value - want) <= max(info["error_estimate"], 1e-7 * want)
+
+
+DEEP_SPECTRA = st.one_of(
+    st.builds(OhmicSharpCutoff, st.floats(0.01, 1.0), st.floats(0.5, 20.0)),
+    st.builds(WhiteBand, st.floats(1e-3, 0.1), st.floats(1.0, 100.0)),
+)
+
+
+@st.composite
+def dyadic_sequences(draw):
+    """Canonical positions rounded to multiples of 2^-53, so 1 - delta is
+    exact and reflect is an exact mirror; ideal or finite width."""
+    family = draw(st.sampled_from(["cpmg", "pdd", "udd"]))
+    n = draw(st.integers(1, 40))
+    deltas = np.round(canonical_deltas(family, n) * 2.0 ** 53) / 2.0 ** 53
+    width = draw(st.sampled_from([0.0, 0.0, 1e-6, 1e-3, 0.3])) * min_gap(make_custom(deltas))
+    return make_custom(deltas, width_ratio=width, label=family)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dyadic_sequences(), DEEP_SPECTRA, st.floats(-3.0, -0.5))
+def test_deep_stop_band_chi_matches_extended_precision(seq, spec, log_depth):
+    """With the support's end at u = 10^log_depth (n + 1), deep in the
+    stop band, chi returns a value within its reported error (or ten times
+    the tolerance) of the 60-digit pairwise sum, and the mirror image
+    gives the same chi."""
+    mpmath = pytest.importorskip("mpmath")
+    rel_tol = QuadratureConfig().rel_tol
+    tau = 10.0 ** log_depth * (seq.n + 1) / spec.effective_support(rel_tol / 10.0)[1]
+    value, info = chi(seq, spec, tau, full_output=True)
+    assert value >= 0.0
+    allowed = max(info["error_estimate"], 10.0 * rel_tol * value)
+    assert abs(value - _chi_mp(seq, spec, tau, mpmath)) <= allowed
+    mirror, mirror_info = chi(reflect(seq), spec, tau, full_output=True)
+    assert abs(mirror - value) <= allowed + max(mirror_info["error_estimate"],
+                                                10.0 * rel_tol * mirror)

@@ -10,6 +10,7 @@ from ddfilter import (
     modified_filter_value,
     sample_filter,
 )
+from ddfilter.filters import StopBandFilter, _switching_times
 
 
 def _naive_filter(deltas, u):
@@ -131,3 +132,50 @@ def test_sample_filter_rejects_bad_range():
         sample_filter(seq, 1.0, 0.5, 50)
     with pytest.raises(ValueError):
         sample_filter(seq, 0.0, 10.0, 50)
+
+
+def _filter_mp(seq, u, mpmath):
+    """F(u) = |sum_k c_k e^(iu t_k)|^2 in 60-digit arithmetic."""
+    anchors, offsets, c = _switching_times(seq)
+    with mpmath.workdps(60):
+        z = sum(mpmath.mpf(float(ck)) * mpmath.expj(mpmath.mpf(float(u)) * (
+            mpmath.mpf(float(a)) + mpmath.mpf(float(o))))
+            for ck, a, o in zip(c, anchors, offsets))
+        return float(abs(z) ** 2)
+
+
+@pytest.mark.parametrize("seq, u_max", [
+    (make_canonical("udd", 12), 2.5),
+    (make_canonical("udd", 12), 100.0),
+    (make_canonical("udd", 40), 60.0),
+    (make_canonical("cpmg", 10), 50.0),
+    (make_custom(make_canonical("udd", 12).deltas, width_ratio=0.01), 30.0),
+])
+def test_stop_band_filter_keeps_relative_precision(seq, u_max):
+    """Deep in the stop band the segment sum is all rounding; the moment
+    series keeps F to near machine precision relative to itself."""
+    mpmath = pytest.importorskip("mpmath")
+    filt = StopBandFilter(seq, u_max)
+    assert seq.n + 1 <= filt.degree and 0.0 < filt.crossover <= u_max
+    u = np.geomspace(1e-3 * u_max, u_max, 25)
+    want = np.array([_filter_mp(seq, x, mpmath) for x in u])
+    assert np.all(np.abs(filt(u) - want) <= 1e-11 * want)
+    # above the crossover it is the segment sum itself
+    above = u[u > filt.crossover]
+    assert np.array_equal(filt(above), filter_value_finite(seq, above))
+
+
+def test_stop_band_filter_deep_values_beyond_segment_sum():
+    seq = make_canonical("udd", 12)
+    u = np.array([0.3])
+    series = StopBandFilter(seq, 2.5)(u)[0]
+    direct = filter_value(seq, u)[0]
+    assert series == pytest.approx(2.4e-33, rel=0.05)
+    assert abs(direct - series) > 0.1 * series     # the segment sum's floor
+
+
+def test_stop_band_filter_fid_is_direct():
+    filt = StopBandFilter(make_canonical("fid"), 10.0)
+    u = np.array([0.1, 1.0, 5.0])
+    assert filt.degree == 0 and filt.crossover == 0.0
+    assert np.array_equal(filt(u), filter_value(make_canonical("fid"), u))

@@ -137,3 +137,26 @@ def test_max_order_rejects_bad_input():
         max_order("fid", 1.0, 0.1)
     with pytest.raises(ValueError):
         max_order("udd", 0.1, 0.1)
+
+
+def _max_order_by_scan(family, tau, tau_switch):
+    """The definition of max_order as a linear scan over n."""
+    limit = tau_switch * (1.0 - 1e-12)
+    n = 0
+    while not min_gap(make_canonical(family, n + 1)) * tau < limit:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("family", ["cpmg", "pdd", "udd"])
+def test_max_order_search_matches_linear_scan(family):
+    gap = {"cpmg": lambda k: 0.5 / k, "pdd": lambda k: 1.0 / (k + 1),
+           "udd": lambda k: float(np.sin(np.pi / (2 * k + 2)) ** 2)}[family]
+    ratios = list(np.geomspace(1.05, 400.0, 23))
+    # exact ties: tau_switch equal to the minimum gap at some n, from both sides
+    ties = [(tau, tau * gap(k) * f) for k in (1, 2, 3, 7, 16, 33, 64, 100)
+            for tau in (1.0, 3.7) for f in (1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-9)]
+    cases = [(2.5, 2.5 / r) for r in ratios] + [(t, s) for t, s in ties if t > s]
+    for tau, tau_switch in cases:
+        assert max_order(family, tau, tau_switch) == \
+            _max_order_by_scan(family, tau, tau_switch), (family, tau, tau_switch)
