@@ -19,12 +19,15 @@ over the switching times t_k of the toggling function.
    pairwise value is returned when B <= 0.1 * rel_tol * chi.
 2. Direct quadrature. Otherwise, and always for power-law and tabulated
    spectra, adaptive quadrature of the cancellation-free segment sum for
-   F over the spectrum's effective support.
+   F over the spectrum's effective support, from the panel evaluator:
+   transcendentals per panel, not per node, joined by complex products
+   of at most 2^16 multiply-adds (filters._panel_z).
 3. Series quadrature. When B >= |value| the pairwise sum has no digit
    left, so chi lies below the segment sum's rounding floor too; the same
    quadrature then takes F from the moment series in the stop band
-   (filters.StopBandFilter). The test costs nothing: B and the value
-   come with the pairwise attempt.
+   (filters.StopBandFilter), and from the panel evaluator above the
+   crossover. The test costs nothing: B and the value come with the
+   pairwise attempt.
 
 On both quadrature routes the chi weight the support drops, times max F,
 is added to the error, and the support is widened until it is within a
@@ -35,6 +38,7 @@ result chi = S0*tau/2, which fixes the oracle calibration constants as
 well.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +47,7 @@ import numpy as np
 from .errors import CurveFailure, ToleranceNotMet
 from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
                       filter_value_finite, pair_sums)
-from .quadrature import QuadratureConfig, build_edges, integrate
+from .quadrature import NODES, QuadratureConfig, build_edges, integrate
 from .spectra import effective_support
 
 
@@ -129,12 +133,11 @@ def _integrate_chi(seq, spec, tau, cfg, epsilon, series):
         info = {"filter": "series", "series_degree": filt.degree,
                 "crossover_u": filt.crossover}
     else:
-        def filt(u):
-            return filter_value_finite(seq, u)
+        filt = functools.partial(filter_value_finite, seq)
         info = {"filter": "direct"}
 
     def integrand(om):
-        return spec.evaluate(om) * filt(om * tau) / om ** 2
+        return spec.evaluate(om) * filt(om * tau, nodes=NODES) / om ** 2
 
     max_panel = 2.0 * np.pi / (tau * cfg.oscillation_resolution)
     edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=max_panel)

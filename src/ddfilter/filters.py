@@ -13,6 +13,10 @@ This is the same expression term for term, but each summand vanishes
 with u, so the deep small-u cancellation happens analytically instead
 of in floating point (the naive phasor sum loses ~5 digits at u=1e-2).
 
+On quadrature panels, u = mid + hw x, every summand splits into a
+per-panel and a per-node factor (_panel_z), so z is a complex matrix
+product of at most 2^16 multiply-adds per block.
+
 The same filter also has the pairwise form F(u) = sum_jk c_j c_k
 cos(u (t_j - t_k)) over the switching times t_k of the toggling function
 and their coefficients c_k (pair_sums), which turns overlaps of F with a
@@ -36,15 +40,10 @@ from .errors import WidthOverflow
 from .sequences import PulseSequence, quantize_timing
 
 
-def _segment_sum(deltas, u):
-    """ytilde(u)/(-2i) = sum_k s_k sin(u g_k/2) e^(iu m_k) for n >= 1."""
-    d = np.concatenate([[0.0], np.asarray(deltas, dtype=float), [1.0]])
-    g = np.diff(d)
-    m = 0.5 * (d[:-1] + d[1:])
-    s = (-1.0) ** np.arange(len(g))
-    amp = s[:, None] * np.sin(np.outer(g, u) / 2.0)
-    z = (amp * np.exp(1j * np.outer(m, u))).sum(axis=0)
-    return z
+def _segments(deltas):
+    """Lengths g_k, midpoints m_k and signs s_k of the free-precession segments."""
+    d = np.concatenate([[0.0], deltas, [1.0]])
+    return np.diff(d), 0.5 * (d[:-1] + d[1:]), (-1.0) ** np.arange(d.size - 1)
 
 
 _PAIR_BLOCK = 1 << 20      # pairs per block: bounds pair_sums' memory
@@ -99,16 +98,82 @@ def pair_sums(seq, kernel):
     return float(total), float(magnitude), c
 
 
-def _alternating_sum(deltas, u):
-    """sum_j (-1)^j e^(i delta_j u), the interior-pulse phasor sum."""
-    signs = (-1.0) ** np.arange(1, len(deltas) + 1)
-    return (signs[:, None] * np.exp(1j * np.outer(np.asarray(deltas), u))).sum(axis=0)
+# Multiply-adds per complex product (2^12 for one row, a vector-matrix
+# product): OpenBLAS runs these on the calling thread, while larger ones wake
+# its thread pool, which stalls for milliseconds on a machine with few CPUs.
+_PRODUCT_SIZE, _VECTOR_SIZE = 1 << 16, 1 << 12
+_SHARED_MIN = 64    # panels x segments from which a shared node table pays
 
 
-def filter_value(seq, u):
-    """Ideal (instantaneous-pulse) filter function at dimensionless u."""
-    if seq.width_ratio != 0:
-        raise ValueError("filter_value requires width_ratio 0; use filter_value_finite")
+def _product(table, mid, right):
+    """table(mid) @ right, blocked over panels and over right's rows so that
+    no product exceeds the sizes above and table is built a block at a time."""
+    k, n = right.shape
+    kc = max(1, min(k, _PRODUCT_SIZE // (2 * n)))
+    step = max(1, _PRODUCT_SIZE // (kc * n))
+    out = np.zeros((mid.size, n), dtype=complex)
+    for r0 in range(0, mid.size, step):
+        a = table(mid[r0:r0 + step])
+        kb = kc if a.shape[0] > 1 else max(1, _VECTOR_SIZE // n)
+        for k0 in range(0, k, kb):
+            out[r0:r0 + step] += a[:, k0:k0 + kb] @ right[k0:k0 + kb]
+    return out
+
+
+def _node_z(deltas, u, r):
+    """ytilde(u)/(-2i) = sum_k s_k sin(u g_k/2) e^(iu m_k), node by node, any shape."""
+    g, m, s = _segments(deltas)
+    uu = u.ravel()
+    z = (s[:, None] * np.sin(np.outer(g, uu) / 2.0) * np.exp(1j * np.outer(m, uu))).sum(axis=0)
+    if r:
+        # ytilde_w = ytilde_ideal - 4 sin^2(u r/4) sum_j (-1)^j e^(i delta_j u)
+        # and ytilde_ideal = -2i z, so ytilde_w = -2i (z - 2i sin^2 * sum)
+        z = z - 2.0j * np.sin(uu * r / 4.0) ** 2 * (
+            s[1:, None] * np.exp(1j * np.outer(deltas, uu))).sum(axis=0)
+    return z.reshape(u.shape)
+
+
+def _panel_z(deltas, u, nodes, r):
+    """z(u) on panels u[p, i] = mid_p + hw_p x_i, x = nodes, one x_i = 0.
+
+    Panels whose hw agree to 16 eps u share h, the smallest. Then sin(u g/2)
+    = sin(mid g/2) cos(h x g/2) + cos(mid g/2) sin(h x g/2) and e^(iu m) =
+    e^(i mid m) e^(i h x m) make z one product of panel and node tables, each
+    term bounded by its own sine. Panels that h moves by over 64 eps u, or in
+    groups under _SHARED_MIN panels x segments, go node by node."""
+    g, m, s = _segments(deltas)
+    half = 0.5 * g
+    z, done = np.empty(u.shape, dtype=complex), np.zeros(u.shape[0], dtype=bool)
+    x = np.asarray(nodes, dtype=float)
+    mid = u[:, np.flatnonzero(x == 0.0)[0]]
+    hw = (u[:, np.argmax(x)] - mid) / x.max()
+    order = np.argsort(hw)
+    cut = np.flatnonzero(np.diff(hw[order]) > 16.0 * _EPS * (mid + hw)[order[1:]]) + 1
+
+    def segments(mp):
+        a, e = mp[:, None] * half, s * np.exp(1j * mp[:, None] * m)
+        return np.concatenate([np.sin(a) * e, np.cos(a) * e], axis=1)
+
+    for rows in np.split(order, cut) if u.shape[0] * half.size >= _SHARED_MIN else ():
+        h = hw[rows[0]]
+        rows = rows[np.all(np.abs(mid[rows, None] + h * x - u[rows])
+                           <= 64.0 * _EPS * (mid + hw)[rows, None], axis=1)]
+        if rows.size * half.size < _SHARED_MIN:
+            continue
+        b, e = half[:, None] * (h * x), np.exp(1j * m[:, None] * (h * x))
+        z[rows] = _product(segments, mid[rows], np.concatenate([np.cos(b) * e, np.sin(b) * e]))
+        if r:
+            z[rows] -= 2.0j * np.sin(u[rows] * r / 4.0) ** 2 * _product(
+                lambda mp: s[1:] * np.exp(1j * mp[:, None] * deltas), mid[rows],
+                np.exp(1j * deltas[:, None] * (h * x)))
+        done[rows] = True
+    if not done.all():
+        z[~done] = _node_z(deltas, u[~done], r)
+    return z
+
+
+def _filter(seq, u, r, nodes):
+    """F(u) at width ratio r: the one evaluator behind both public names."""
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(uu < 0):
@@ -116,40 +181,35 @@ def filter_value(seq, u):
     if seq.n == 0:
         out = np.sin(uu / 2.0) ** 2
     else:
-        z = _segment_sum(seq.deltas, uu)
+        d = np.asarray(seq.deltas, dtype=float)
+        z = _node_z(d, uu, r) if nodes is None else _panel_z(d, uu, nodes, r)
         out = 4.0 * (z.real ** 2 + z.imag ** 2)
     return float(out[0]) if scalar else out
 
 
-def filter_value_finite(seq, u_prime, r=None):
+def filter_value(seq, u):
+    """Ideal (instantaneous-pulse) filter: filter_value_finite at r = 0."""
+    if seq.width_ratio != 0:
+        raise ValueError("filter_value requires width_ratio 0; use filter_value_finite")
+    return _filter(seq, u, 0.0, None)
+
+
+def filter_value_finite(seq, u_prime, r=None, nodes=None):
     """Finite-pulse-width filter function over u' = omega * tau_total.
 
     Interior pulse terms acquire a cos(u'*r/2) factor, r = tau_pi/tau_total.
     Evaluated as the ideal segment sum plus the exact width correction
     -4 sin^2(u' r / 4) * sum_j (-1)^j e^(i delta_j u'), which keeps the
-    small-u' behavior stable. Raises WidthOverflow when r*n >= 1.
+    small-u' behavior stable. With `nodes` (a quadrature rule's offsets,
+    one of them 0) u' is a panels x nodes array, evaluated by _panel_z.
+    Raises WidthOverflow when r*n >= 1.
     """
     r = seq.width_ratio if r is None else float(r)
     if r < 0:
         raise ValueError("width ratio must be >= 0")
     if r * seq.n >= 1.0:
         raise WidthOverflow(f"pulses do not fit: r*n = {r * seq.n:.3g} >= 1")
-    scalar = np.isscalar(u_prime)
-    uu = np.atleast_1d(np.asarray(u_prime, dtype=float))
-    if np.any(uu < 0):
-        raise ValueError("u must be >= 0")
-    if seq.n == 0:
-        out = np.sin(uu / 2.0) ** 2
-    elif r == 0:
-        z = _segment_sum(seq.deltas, uu)
-        out = 4.0 * (z.real ** 2 + z.imag ** 2)
-    else:
-        # ytilde_w = ytilde_ideal - 4 sin^2(u r/4) * sum_j (-1)^j e^(i delta_j u)
-        # and ytilde_ideal = -2i*z, so ytilde_w = -2i*(z - 2i sin^2 * sum)
-        z = _segment_sum(seq.deltas, uu)
-        z = z - 2.0j * np.sin(uu * r / 4.0) ** 2 * _alternating_sum(seq.deltas, uu)
-        out = 4.0 * (z.real ** 2 + z.imag ** 2)
-    return float(out[0]) if scalar else out
+    return _filter(seq, u_prime, r, nodes)
 
 
 _EPS = np.finfo(float).eps
@@ -244,7 +304,7 @@ class StopBandFilter:
 
     def __init__(self, seq, u_max):
         self.seq = seq
-        self.degree, self.crossover = 0, 0.0
+        self.degree, self.crossover, self._nu = 0, 0.0, np.zeros(1)
         if seq.n == 0:
             return      # sin^2(u/2) has no stop band
         floor = 2.0 * seq.n + 2.0
@@ -275,16 +335,13 @@ class StopBandFilter:
         self.degree = need
         self._nu = nu[:need + 1]
 
-    def __call__(self, u):
+    def __call__(self, u, nodes=None):
         u = np.asarray(u, dtype=float)
+        out = filter_value_finite(self.seq, u, nodes=nodes)
         series = u <= self.crossover
-        if not series.any():
-            return filter_value_finite(self.seq, u)
-        out = np.empty_like(u)
-        z = _factorial_series(self._nu, 0.5j * u[series])
-        out[series] = z.real ** 2 + z.imag ** 2
-        if not series.all():
-            out[~series] = filter_value_finite(self.seq, u[~series])
+        if series.any():
+            z = _factorial_series(self._nu, 0.5j * u[series])
+            out[series] = z.real ** 2 + z.imag ** 2
         return out
 
 

@@ -4,8 +4,12 @@ The integrands here (filter functions against noise spectra) oscillate
 with a known period in u = omega*tau, so panels are sized from that
 scale up front and refined adaptively only where the 21- vs 10-point
 rule disagreement says the tolerance is not met.
+Each round calls the integrand once, on the panels x 31 nodes mid + hw NODES
+(GL21, then GL10; NODES[10] = 0 is the midpoint exactly), so an integrand
+can factor its work per panel, as filters._panel_z does.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,13 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ToleranceNotMet
 
-_NODE_CACHE = {}
-
-
-def _nodes(n):
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = leggauss(n)
-    return _NODE_CACHE[n]
+_nodes = functools.cache(leggauss)     # (nodes, weights) of the n-point rule
 
 
 @dataclass(frozen=True)
@@ -36,6 +34,10 @@ class QuadratureConfig:
             raise ValueError("oscillation_resolution must be >= 4")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be >= 0")
+
+
+_W21, _W10 = _nodes(21)[1], _nodes(10)[1]
+NODES = np.concatenate([_nodes(21)[0], _nodes(10)[0]])   # one round's node offsets on [-1, 1]
 
 
 def build_edges(a, b, breakpoints=(), max_panel=None):
@@ -55,20 +57,18 @@ def build_edges(a, b, breakpoints=(), max_panel=None):
 
 
 def _panel_values(f, lo, hi):
-    """(GL21 value, |GL21-GL10| error) per panel, vectorized over panels."""
+    """(GL21 value, |GL21-GL10| error) per panel from one call of f."""
     hw = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    x2, w2 = _nodes(21)
-    y2 = f((mid[:, None] + hw[:, None] * x2[None, :]).ravel()).reshape(len(lo), 21)
-    v2 = (y2 * w2[None, :]).sum(axis=1) * hw
-    x1, w1 = _nodes(10)
-    y1 = f((mid[:, None] + hw[:, None] * x1[None, :]).ravel()).reshape(len(lo), 10)
-    v1 = (y1 * w1[None, :]).sum(axis=1) * hw
+    y = f(mid[:, None] + hw[:, None] * NODES[None, :])
+    v2 = (y[:, :21] * _W21[None, :]).sum(axis=1) * hw
+    v1 = (y[:, 21:] * _W10[None, :]).sum(axis=1) * hw
     return v2, np.abs(v2 - v1)
 
 
 def integrate(f, edges, cfg=None, raise_on_fail=True):
-    """Integrate a vectorized f over the paneled interval.
+    """Integrate an elementwise f, called once per round on a panels x
+    len(NODES) node array, over the paneled interval.
 
     Returns (value, error_estimate, n_panels). Panels whose local error
     exceeds an equal share of the budget are halved, up to

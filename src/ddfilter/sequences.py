@@ -59,9 +59,9 @@ def _validate(deltas, width_ratio):
     if arr.size == 0:
         return  # FID
     if not np.all(np.diff(arr) > 0):
-        raise NonMonotonic(f"deltas must be strictly increasing, got {list(arr)}")
+        raise NonMonotonic(f"deltas must be strictly increasing, got {arr.tolist()}")
     if not (arr[0] > 0.0 and arr[-1] < 1.0):
-        raise OutOfRange(f"deltas must lie strictly inside (0, 1), got {list(arr)}")
+        raise OutOfRange(f"deltas must lie strictly inside (0, 1), got {arr.tolist()}")
     if width_ratio > 0:
         r = width_ratio
         gaps = np.concatenate([[arr[0] - r / 2], np.diff(arr) - r, [1.0 - arr[-1] - r / 2]])

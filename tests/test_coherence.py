@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,3 +346,19 @@ def test_deep_stop_band_chi_matches_extended_precision(seq, spec, log_depth):
     mirror, mirror_info = chi(reflect(seq), spec, tau, full_output=True)
     assert abs(mirror - value) <= allowed + max(mirror_info["error_estimate"],
                                                 10.0 * rel_tol * mirror)
+
+
+def test_long_tau_chi_memory_stays_bounded():
+    """udd200 with finite width under a power law at tau 500 runs quadrature
+    on 3,177 panels of 201 segments. The panel evaluator builds its tables
+    a block of panels at a time, so the peak stays a few panel-node arrays
+    (node by node it was (n + 1) x nodes complex tables: 0.5 GB)."""
+    seq = make_custom(make_canonical("udd", 200).deltas, width_ratio=1e-4)
+    tracemalloc.start()
+    try:
+        value = chi(seq, PowerLaw(0.2, 0.5, 0.01, 5.0), 500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert value == pytest.approx(202.1883798269678, rel=1e-12)

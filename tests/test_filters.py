@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddfilter import (
     WidthOverflow,
@@ -7,10 +11,13 @@ from ddfilter import (
     filter_value_finite,
     make_canonical,
     make_custom,
+    min_gap,
     modified_filter_value,
     sample_filter,
 )
+from ddfilter import filters
 from ddfilter.filters import StopBandFilter, _switching_times
+from ddfilter.quadrature import NODES
 
 
 def _naive_filter(deltas, u):
@@ -176,6 +183,68 @@ def test_stop_band_filter_deep_values_beyond_segment_sum():
 
 def test_stop_band_filter_fid_is_direct():
     filt = StopBandFilter(make_canonical("fid"), 10.0)
-    u = np.array([0.1, 1.0, 5.0])
+    u = np.array([0.0, 0.1, 1.0, 5.0])     # u = 0 is at the crossover
     assert filt.degree == 0 and filt.crossover == 0.0
     assert np.array_equal(filt(u), filter_value(make_canonical("fid"), u))
+
+
+def _panels(lo, hi, count, halve):
+    """Panel node array as quadrature.integrate builds it: count equal
+    panels over [lo, hi], then the panels picked by halve split in two."""
+    edges = np.linspace(lo, hi, count + 1)
+    a, b = edges[:-1], edges[1:]
+    pick = np.array([halve[i % len(halve)] for i in range(count)])
+    cut = 0.5 * (a[pick] + b[pick])
+    a = np.concatenate([a[~pick], a[pick], cut])
+    b = np.concatenate([b[~pick], cut, b[pick]])
+    return 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * NODES
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["fid", "cpmg", "pdd", "udd", "custom"]),
+       n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+       width=st.sampled_from([0.0, 0.01, 0.5]), top=st.floats(1e-3, 1.0),
+       start=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+       count=st.integers(1, 60), halve=st.lists(st.booleans(), min_size=1, max_size=8))
+def test_panel_evaluator_matches_node_by_node(family, n, seed, width, top, start, count, halve):
+    """The panel-factored F agrees with the node-by-node segment sum at the
+    same nodes. Both keep z = F^(1/2)/2 to Delta = 128 eps (n + 1)(u + 1)
+    with u the panel's upper end: the arguments carry eps u, the panel
+    evaluator moves a node by at most 64 eps u, and |dz/du| <= n + 1.
+    So |F_panel - F_node| <= 4 Delta (F^(1/2) + Delta)."""
+    if family == "fid":
+        seq = make_canonical("fid")
+    elif family == "custom":
+        rng = np.random.default_rng(seed)
+        seq = make_custom(np.sort(rng.uniform(0.0, 1.0, n)))
+    else:
+        seq = make_canonical(family, n)
+    if width and seq.n:
+        seq = make_custom(seq.deltas, width_ratio=width * min_gap(seq))
+    u_max = top * 4.0 * np.pi * (seq.n + 1)
+    u = _panels(start * u_max, u_max, count, halve)
+    calls = []
+    node_z = filters._node_z
+    with mock.patch.object(filters, "_node_z",
+                           side_effect=lambda d, uu, r: calls.append(uu.shape[0]) or node_z(d, uu, r)):
+        panel = filter_value_finite(seq, u, nodes=NODES)
+    node = filter_value_finite(seq, u)
+    assert panel.shape == node.shape == u.shape
+    delta = 128.0 * np.finfo(float).eps * (seq.n + 1) * (u[:, -1:] + 1.0)
+    assert np.all(np.abs(panel - node) <= 4.0 * delta * (np.sqrt(node) + delta))
+    # halving leaves at most two widths per panel size, so a large enough
+    # call shares tables instead of going node by node
+    if seq.n and u.shape[0] * (seq.n + 1) >= 4 * filters._SHARED_MIN:
+        assert sum(calls) < u.shape[0]
+
+
+def test_panel_evaluator_takes_any_array_node_by_node():
+    """Rows that are not panels of the given nodes fall back to the
+    segment sum instead of being factored wrongly."""
+    seq = make_custom(make_canonical("udd", 20).deltas, width_ratio=0.01)
+    u = _panels(0.0, 60.0, 20, [False])
+    u[3] = np.linspace(1.0, 9.0, NODES.size)
+    u[7, 4] += 0.5
+    assert np.array_equal(filter_value_finite(seq, u, nodes=NODES)[[3, 7]],
+                          filter_value_finite(seq, u[[3, 7]]))
+

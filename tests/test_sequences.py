@@ -65,6 +65,16 @@ def test_validation_errors():
         make_custom([0.1, 0.9], width_ratio=0.25)
 
 
+@pytest.mark.parametrize("deltas, error, shown", [
+    ([0.5, 0.4], NonMonotonic, "got [0.5, 0.4]"),
+    ([0.2, 1.0], OutOfRange, "got [0.2, 1.0]"),
+])
+def test_validation_messages_show_plain_floats(deltas, error, shown):
+    with pytest.raises(error) as ei:
+        make_custom(deltas)
+    assert shown in str(ei.value) and "np.float64" not in str(ei.value)
+
+
 def test_width_fits_when_gaps_allow():
     seq = make_custom([0.5], width_ratio=0.9)
     assert seq.width_ratio == 0.9
