@@ -30,9 +30,9 @@ from .quadrature import QuadratureConfig, build_edges, integrate
 from .sequences import (PulseSequence, canonical_deltas, make_canonical,
                         make_custom, max_order, min_gap, quantize_timing,
                         reflect)
-from .spectra import (OhmicSharpCutoff, PowerLaw, SupraOhmicExp, Tabulated,
-                      WhiteBand, effective_support, eval_spectrum, from_dict,
-                      rescale_time)
+from .spectra import (OhmicSharpCutoff, PowerLaw, Spectrum, SupraOhmicExp,
+                      Tabulated, WhiteBand, effective_support, eval_spectrum,
+                      from_dict, rescale_time)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "NonIntegrableSpectrum", "NonMonotonic", "NotConverged", "NumericFloor",
     "OhmicSharpCutoff", "OptimizationConfig", "OptimizationResult",
     "OutOfRange", "PassbandStats", "PowerLaw", "PulseSequence",
-    "QuadratureConfig", "SamplingVector", "SupraOhmicExp", "Tabulated",
+    "QuadratureConfig", "SamplingVector", "Spectrum", "SupraOhmicExp", "Tabulated",
     "ToleranceNotMet", "UnderResolved", "WhiteBand", "WidthOverflow",
     "WindowOutOfRange", "autocovariance", "bandpass_profile", "build_edges",
     "canonical_deltas", "chi", "coherence_curve", "coherence_w",

@@ -67,9 +67,8 @@ def _resolve_sequence(args):
 
 def _load_spectrum(args):
     spec = io.load_spectrum(args.spectrum)
-    factor = getattr(args, "rescale_time", None)
-    if factor:
-        spec = rescale_time(spec, factor)
+    if args.rescale_time is not None:
+        spec = rescale_time(spec, args.rescale_time)
     return spec
 
 
@@ -253,6 +252,10 @@ def build_parser():
         description="Dynamical-decoupling filter design: filter functions, "
                     "coherence prediction, metrics, and sequence optimization.")
     sub = p.add_subparsers(dest="command", required=True)
+    spectrum = argparse.ArgumentParser(add_help=False)
+    spectrum.add_argument("--spectrum", required=True, help="spectrum JSON file")
+    spectrum.add_argument("--rescale-time", type=float, default=None,
+                          help="convert the spectrum to a new time unit first")
 
     f = sub.add_parser("filter", help="sample a filter function to CSV")
     _add_seq_options(f)
@@ -262,11 +265,8 @@ def build_parser():
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_filter)
 
-    c = sub.add_parser("coherence", help="chi and W versus total time")
+    c = sub.add_parser("coherence", parents=[spectrum], help="chi and W versus total time")
     _add_seq_options(c)
-    c.add_argument("--spectrum", required=True, help="spectrum JSON file")
-    c.add_argument("--rescale-time", type=float, default=None,
-                   help="convert the spectrum to a new time unit first")
     c.add_argument("--tau", type=float, default=None)
     c.add_argument("--tau-min", type=float, default=None)
     c.add_argument("--tau-max", type=float, default=None)
@@ -296,10 +296,8 @@ def build_parser():
     common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument("--out", default=None)
 
-    ol = osub.add_parser("lodd", parents=[common],
+    ol = osub.add_parser("lodd", parents=[common, spectrum],
                          help="minimize chi at fixed n and tau")
-    ol.add_argument("--spectrum", required=True)
-    ol.add_argument("--rescale-time", type=float, default=None)
     ol.add_argument("--n", type=int, required=True)
     ol.add_argument("--tau", type=float, required=True)
     ol.add_argument("--min-gap-fraction", type=float, default=None)
@@ -311,19 +309,15 @@ def build_parser():
     of.add_argument("--u-max", type=float, required=True)
     of.set_defaults(func=cmd_optimize_ofdd)
 
-    ob = osub.add_parser("badd", parents=[common],
+    ob = osub.add_parser("badd", parents=[common, spectrum],
                          help="gap-constrained design over pulse count")
-    ob.add_argument("--spectrum", required=True)
-    ob.add_argument("--rescale-time", type=float, default=None)
     ob.add_argument("--tau", type=float, required=True)
     ob.add_argument("--tau-switch", type=float, required=True)
     ob.add_argument("--n-max", type=int, required=True)
     ob.set_defaults(func=cmd_optimize_badd)
 
-    r = sub.add_parser("oracle", help="time-domain cross-check of chi")
+    r = sub.add_parser("oracle", parents=[spectrum], help="time-domain cross-check of chi")
     _add_seq_options(r)
-    r.add_argument("--spectrum", required=True)
-    r.add_argument("--rescale-time", type=float, default=None)
     r.add_argument("--tau", type=float, required=True)
     r.add_argument("--n-steps", type=int, default=8192)
     r.add_argument("--mc", type=int, default=0,

@@ -69,10 +69,9 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
     cfg = cfg or QuadratureConfig()
-    structure = getattr(spec, "structure_function", None)
     series = False
-    if structure is not None:
-        total, magnitude, _ = pair_sums(seq, lambda lag: structure(tau * lag))
+    if spec.structure_function is not None:
+        total, magnitude, _ = pair_sums(seq, lambda lag: spec.structure_function(tau * lag))
         value = -2.0 * total + 0.0
         bound = 2.0 * PAIR_ROUNDING * magnitude
         if bound <= 0.1 * cfg.rel_tol * value:
@@ -88,24 +87,23 @@ def _chi_quadrature(seq, spec, tau, cfg=None, full_output=False, series=False):
 
     With series=True F comes from StopBandFilter. On either route the
     support's truncation enters the error: the chi weight of the spectrum
-    beyond the support (spec.tail_weight, where the spectrum has one)
-    times max F = (sum |c|)^2. The support is widened until that is at
-    most 0.1 * cfg.rel_tol * chi. A quadrature that gives up is retried
-    on the wider support when the tail it dropped could outweigh its best
-    value (a support that ends in the stop band leaves F below the
-    rounding floor).
+    beyond the support (spec.tail_weight) times max F = (sum |c|)^2. The
+    support is widened until that is at most 0.1 * cfg.rel_tol * chi. A
+    quadrature that gives up is retried on the wider support when the tail
+    it dropped could outweigh its best value (a support that ends in the
+    stop band leaves F below the rounding floor).
     """
     cfg = cfg or QuadratureConfig()
     epsilon = min(cfg.rel_tol / 10.0, 0.1)
-    tail_weight = getattr(spec, "tail_weight", None)
-    peak = float(np.abs(_switching_times(seq)[2]).sum()) ** 2 if tail_weight else 0.0
     for widening in range(_WIDENINGS + 1):
         try:
             result, err, info = _integrate_chi(seq, spec, tau, cfg, epsilon, series)
             failed = False
         except ToleranceNotMet as exc:
             result, err, failed = exc.value, exc.achieved, True
-        dropped = tail_weight(epsilon) * peak if tail_weight else 0.0
+        dropped = spec.tail_weight(epsilon)
+        if dropped:
+            dropped *= float(np.abs(_switching_times(seq)[2]).sum()) ** 2   # max F
         if dropped == 0.0 or dropped <= 0.1 * cfg.rel_tol * result or widening == _WIDENINGS:
             break
         epsilon *= 0.05 * cfg.rel_tol * result / dropped

@@ -368,9 +368,7 @@ class FilterSamples:
 
     def evaluate(self, u):
         """Re-evaluate the same variant at arbitrary u (metrics refinement)."""
-        if self.variant.startswith("finite"):
-            return filter_value_finite(self.sequence, u, self.width_ratio)
-        return filter_value(self.sequence, u)
+        return filter_value_finite(self.sequence, u, self.width_ratio)
 
 
 def sample_filter(seq, u_min, u_max, points_per_decade, variant="ideal", precision=None):

@@ -140,15 +140,13 @@ def rolloff(samples, window=None):
     range; "clean" for the full span where F lies in [1e-28, 1e-2]; or an
     explicit (u_lo, u_hi) pair which must sit inside the clean range.
     """
-    u, F = samples.u_grid, samples.values
+    u = samples.u_grid
     ilo, ihi = _clean_window_indices(samples)
     clean_lo_u, clean_hi_u = u[ilo], u[ihi - 1]
     if window == "clean":
         lo_u, hi_u = clean_lo_u, clean_hi_u
     elif window is None:
-        f1 = omega_f1(samples)
-        lo_u = max(f1 / 32.0, clean_lo_u)
-        hi_u = min(f1 / 8.0, clean_hi_u)
+        lo_u, hi_u = _default_window(omega_f1(samples), clean_lo_u, clean_hi_u)
     else:
         lo_u, hi_u = float(window[0]), float(window[1])
         if lo_u < u[0] or hi_u > u[-1]:
@@ -157,6 +155,17 @@ def rolloff(samples, window=None):
             raise NumericFloor("window touches the numeric floor (F < 1e-28)")
         if hi_u > clean_hi_u:
             raise WindowOutOfRange("window extends above F = 1e-2")
+    return _fit_slope(samples, lo_u, hi_u)
+
+
+def _default_window(f1, clean_lo_u, clean_hi_u):
+    """[u_f1/32, u_f1/8] clipped to the clean range."""
+    return max(f1 / 32.0, clean_lo_u), min(f1 / 8.0, clean_hi_u)
+
+
+def _fit_slope(samples, lo_u, hi_u):
+    """dB/octave slope of the samples on [lo_u, hi_u]."""
+    u, F = samples.u_grid, samples.values
     mask = (u >= lo_u) & (u <= hi_u) & (F > 0)
     if mask.sum() < 2:
         raise WindowOutOfRange(
@@ -195,9 +204,8 @@ def filter_metrics(samples):
     """Bundle of the scalar diagnostics for one sampled filter."""
     f1 = omega_f1(samples)
     ilo, ihi = _clean_window_indices(samples)
-    lo_u = max(f1 / 32.0, samples.u_grid[ilo])
-    hi_u = min(f1 / 8.0, samples.u_grid[ihi - 1])
-    slope = rolloff(samples, None)
+    lo_u, hi_u = _default_window(f1, samples.u_grid[ilo], samples.u_grid[ihi - 1])
+    slope = _fit_slope(samples, lo_u, hi_u)
     stats = passband_stats(samples)
     return FilterMetrics(
         u_f1=f1,

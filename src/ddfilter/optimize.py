@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from .coherence import chi
 from .errors import DDError, Infeasible, NotConverged
 from .filters import PAIR_ROUNDING, filter_value, pair_sums
-from .quadrature import QuadratureConfig, build_edges, integrate
+from .quadrature import QuadratureConfig, build_edges, integrate, panel_nodes
 from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
 from .spectra import PowerLaw, Tabulated
 
@@ -166,12 +166,7 @@ def _kernel_chi_objective(spec, tau, n_delta=40001, resolution=8):
     lo, hi = spec.effective_support(1e-10)
     edges = build_edges(lo, hi, breakpoints=spec.breakpoints(),
                         max_panel=2.0 * np.pi / (tau * resolution))
-    from .quadrature import _nodes
-    xg, wg = _nodes(21)
-    a, b = edges[:-1], edges[1:]
-    hw, mid = 0.5 * (b - a), 0.5 * (a + b)
-    om = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
-    wts = (np.broadcast_to(wg[None, :], (a.size, 21)) * hw[:, None]).ravel()
+    om, wts = panel_nodes(edges, 21)
     s_w = spec.evaluate(om) / om ** 2 * wts
     dgrid = np.linspace(0.0, 1.0, n_delta)
     table = np.empty(n_delta)
@@ -216,9 +211,12 @@ def _nm_start(objective_x, x0, cfg):
 def _optimize_core(objective, n, cfg, gmin=0.0):
     """Shared LODD/OFDD/BADD engine over n pulse positions.
 
-    objective maps a delta array to a scalar. Returns the merged best
-    across canonical starts and jittered copies, ordered deterministically
-    by (objective, n, start index).
+    objective maps a delta array to a scalar. Returns (best, deltas,
+    baselines): the best start across canonical starts and jittered
+    copies (the first of equals), its positions, and the objective at the
+    canonical starts. A constraint that leaves one feasible point returns
+    the uniform gaps; a zero objective at every canonical start (zero
+    spectrum) returns the UDD baseline with best["degenerate"] set.
     """
     if gmin > 0 and (n + 1) * gmin > 1.0:
         raise Infeasible(
@@ -227,9 +225,9 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
         # constraint leaves a single feasible point: uniform gaps
         deltas = gaps_to_deltas(np.full(n + 1, 1.0 / (n + 1)))
         val = float(objective(deltas))
-        best = {"objective": val, "n": n, "start_index": 0, "label": "uniform",
-                "x": None, "iterations": 0, "function_evals": 1, "converged": True}
-        return best, deltas, {"udd": val, "cpmg": val, "pdd": val}, [best]
+        best = {"objective": val, "label": "uniform", "iterations": 0,
+                "function_evals": 1, "converged": True}
+        return best, deltas, {"udd": val, "cpmg": val, "pdd": val}
 
     def to_deltas(x):
         raw = np.maximum(alr_to_gaps(x), 1e-15)
@@ -263,40 +261,38 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
 
     if all(v == 0.0 for v in baselines.values()):
         # degenerate objective (zero spectrum): retain the UDD baseline
-        seq = make_custom(canonical_deltas("udd", n), label="udd")
-        return OptimizationResult(seq, 0.0, baselines, {
-            "converged": True, "degenerate": True, "iterations": 0,
-            "function_evals": 0, "restarts": cfg.restarts, "start_label": "udd",
-        })
+        best = {"objective": 0.0, "label": "udd", "iterations": 0, "function_evals": 0,
+                "converged": True, "degenerate": True}
+        return best, canonical_deltas("udd", n), baselines
 
-    candidates = []
-    for idx, (lbl, x0) in enumerate(starts):
+    best = None
+    for lbl, x0 in starts:
         res = _nm_start(objective_x, np.asarray(x0, dtype=float), cfg)
-        candidates.append({
-            "objective": float(res.fun), "n": n, "start_index": idx,
-            "label": lbl, "x": res.x, "iterations": int(res.nit),
-            "function_evals": int(res.nfev), "converged": bool(res.success),
-        })
-    candidates.sort(key=lambda c: (c["objective"], c["n"], c["start_index"]))
-    best = candidates[0]
+        if best is None or res.fun < best["objective"]:
+            best = {"objective": float(res.fun), "label": lbl, "x": res.x,
+                    "iterations": int(res.nit), "function_evals": int(res.nfev),
+                    "converged": bool(res.success)}
     if not np.isfinite(best["objective"]):
         raise NotConverged("no optimization start produced a finite objective")
-    deltas = to_deltas(best["x"])
-    return best, deltas, baselines, candidates
+    return best, to_deltas(best["x"]), baselines
 
 
-def _result_from_core(best, deltas, baselines, cfg, label, extra=None):
-    seq = make_custom(deltas, label=label)
+def _result(best, deltas, baselines, cfg, label, gmin=0.0, **extra):
+    """The OptimizationResult of LODD, OFDD and BADD from _optimize_core's
+    (best, deltas, baselines); a degenerate run keeps the UDD label."""
+    degenerate = best.get("degenerate", False)
+    seq = make_custom(deltas, label="udd" if degenerate else label)
     diag = {
         "converged": best["converged"],
         "iterations": best["iterations"],
         "function_evals": best["function_evals"],
         "restarts": cfg.restarts,
         "start_label": best["label"],
-        "constraint_slack": None,
+        "constraint_slack": float(min_gap(seq) - gmin) if gmin > 0 else None,
+        **extra,
     }
-    if extra:
-        diag.update(extra)
+    if degenerate:
+        diag["degenerate"] = True
     return OptimizationResult(seq, best["objective"], baselines, diag)
 
 
@@ -306,15 +302,7 @@ def optimize_lodd(spec, n, tau, cfg=None):
     if n < 1:
         raise ValueError("LODD requires n >= 1")
     gmin = cfg.min_gap_fraction or 0.0
-    objective = _chi_objective(spec, tau)
-    out = _optimize_core(objective, n, cfg, gmin=gmin)
-    if isinstance(out, OptimizationResult):
-        return out
-    best, deltas, baselines, _cands = out
-    extra = {}
-    if gmin > 0:
-        extra["constraint_slack"] = float(min_gap(make_custom(deltas)) - gmin)
-    return _result_from_core(best, deltas, baselines, cfg, "lodd", extra)
+    return _result(*_optimize_core(_chi_objective(spec, tau), n, cfg, gmin), cfg, "lodd", gmin)
 
 
 def optimize_ofdd(n, u_max, cfg=None):
@@ -324,12 +312,8 @@ def optimize_ofdd(n, u_max, cfg=None):
         raise ValueError("OFDD requires n >= 1")
     if u_max <= 0:
         raise ValueError("u_max must be positive")
-    objective = _area_objective(u_max)
-    out = _optimize_core(objective, n, cfg, gmin=cfg.min_gap_fraction or 0.0)
-    if isinstance(out, OptimizationResult):
-        return out
-    best, deltas, baselines, _cands = out
-    return _result_from_core(best, deltas, baselines, cfg, "ofdd")
+    gmin = cfg.min_gap_fraction or 0.0
+    return _result(*_optimize_core(_area_objective(u_max), n, cfg, gmin), cfg, "ofdd", gmin)
 
 
 def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
@@ -359,38 +343,16 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     per_n = []
     entries = []
     for n in range(1, n_hi + 1):
-        out = _optimize_core(inner, n, cfg, gmin=gmin)
-        if isinstance(out, OptimizationResult):
-            seq_d = np.asarray(out.sequence.deltas)
-            best = {"objective": out.objective_value, "n": n, "start_index": 0,
-                    "label": out.diagnostics["start_label"], "x": None,
-                    "iterations": 0, "function_evals": 0, "converged": True}
-            deltas = seq_d
-        else:
-            best, deltas, _bl, _cands = out
+        best, deltas, _ = _optimize_core(inner, n, cfg, gmin=gmin)
         value = float(true_chi(deltas)) if fast else best["objective"]
-        entries.append((value, n, best["start_index"], best, deltas))
+        # the result is the best over n, labelled BADD even on a zero spectrum
+        entries.append((value, n, dict(best, objective=value, degenerate=False), deltas))
         per_n.append({"n": n, "objective": value, "converged": best["converged"]})
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    value, n_best, _sidx, best, deltas = entries[0]
+    _, n_best, best, deltas = min(entries, key=lambda e: e[:2])
 
     baselines = {}
     for fam in ("udd", "cpmg", "pdd"):
         gaps = project_gaps(deltas_to_gaps(canonical_deltas(fam, n_best)), gmin)
         baselines[fam] = float(true_chi(gaps_to_deltas(gaps)))
-
-    seq = make_custom(deltas, label="badd")
-    slack = float(min_gap(seq) - gmin)
-    diag = {
-        "converged": best["converged"],
-        "iterations": best["iterations"],
-        "function_evals": best["function_evals"],
-        "restarts": cfg.restarts,
-        "start_label": best["label"],
-        "constraint_slack": slack,
-        "n_best": n_best,
-        "n_limit": n_hi,
-        "kernel_objective": fast,
-        "per_n": per_n,
-    }
-    return OptimizationResult(seq, value, baselines, diag)
+    return _result(best, deltas, baselines, cfg, "badd", gmin, n_best=n_best, n_limit=n_hi,
+                   kernel_objective=fast, per_n=per_n)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .coherence import chi
 from .errors import UnderResolved
-from .quadrature import QuadratureConfig, build_edges, _nodes
+from .quadrature import QuadratureConfig, build_edges, panel_nodes
 from .sequences import PulseSequence, min_gap
 from .spectra import eval_spectrum
 
@@ -185,11 +185,7 @@ def autocovariance(spec, lags, cfg=None):
     edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=cap)
 
     def panel_sum(order):
-        xg, wg = _nodes(order)
-        a, b = edges[:-1], edges[1:]
-        hw, mid = 0.5 * (b - a), 0.5 * (a + b)
-        om = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
-        wts = (np.broadcast_to(wg[None, :], (a.size, order)) * hw[:, None]).ravel()
+        om, wts = panel_nodes(edges, order)
         sw = eval_spectrum(spec, om) * wts
         if grid:
             return _grid_cos_sum(sw, om, lags[1], lags.size) / np.pi

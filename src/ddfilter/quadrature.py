@@ -56,6 +56,16 @@ def build_edges(a, b, breakpoints=(), max_panel=None):
     return np.concatenate(edges)
 
 
+def panel_nodes(edges, order):
+    """Flattened nodes and weights of the order-point Gauss-Legendre rule on
+    every panel of `edges`, for a fixed (non-adaptive) weighted sum."""
+    xg, wg = _nodes(order)
+    a, b = edges[:-1], edges[1:]
+    hw, mid = 0.5 * (b - a), 0.5 * (a + b)
+    nodes = (mid[:, None] + hw[:, None] * xg[None, :]).ravel()
+    return nodes, (wg[None, :] * hw[:, None]).ravel()
+
+
 def _panel_values(f, lo, hi):
     """(GL21 value, |GL21-GL10| error) per panel from one call of f."""
     hw = 0.5 * (hi - lo)

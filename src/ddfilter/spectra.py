@@ -8,7 +8,7 @@ is time^(p-1).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammainccinv, sici
@@ -47,10 +47,47 @@ def _white_core(x):
     return _series_or(x, _WHITE_SERIES, lambda y: y * sici(y)[0] - 2.0 * np.sin(0.5 * y) ** 2)
 
 
+class Spectrum:
+    """Base of the spectra: the behaviour a spectrum may leave out.
+
+    A spectrum is a frozen dataclass with a `variant` name (its key in
+    from_dict and to_dict) that defines evaluate(omega),
+    effective_support(epsilon) (the interval holding all but epsilon of
+    the S/omega^2 mass) and rescaled(k) (the same noise with the time unit
+    scaled by k). It inherits, and overrides where it knows better:
+    structure_function (None: no closed-form D, chi takes quadrature),
+    tail_weight (the chi weight beyond the effective support, 0),
+    breakpoints (interior kinks for the panel edges, none) and
+    power_support (the interval holding all but epsilon of the total
+    power, the effective support).
+    """
+
+    variant = None
+    structure_function = None
+
+    def tail_weight(self, epsilon):
+        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon)."""
+        return 0.0
+
+    def breakpoints(self):
+        return ()
+
+    def power_support(self, epsilon):
+        return self.effective_support(epsilon)
+
+    def to_dict(self):
+        d = {"variant": self.variant}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            d[f.name] = list(v) if type(v) is tuple else v
+        return d
+
+
 @dataclass(frozen=True)
-class OhmicSharpCutoff:
+class OhmicSharpCutoff(Spectrum):
     """S = A * omega for omega <= omega_d, 0 above (sharp cutoff)."""
 
+    variant = "ohmic"
     amplitude: float
     omega_d: float
 
@@ -69,24 +106,15 @@ class OhmicSharpCutoff:
     def effective_support(self, epsilon):
         return (0.0, self.omega_d)
 
-    def tail_weight(self, epsilon):
-        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon)."""
-        return 0.0
-
-    def power_support(self, epsilon):
-        return (0.0, self.omega_d)
-
-    def breakpoints(self):
-        return ()
-
-    def to_dict(self):
-        return {"variant": "ohmic", "amplitude": self.amplitude, "omega_d": self.omega_d}
+    def rescaled(self, k):
+        return OhmicSharpCutoff(self.amplitude, self.omega_d / k)
 
 
 @dataclass(frozen=True)
-class WhiteBand:
+class WhiteBand(Spectrum):
     """S = S0 up to omega_hi (band-limited white noise)."""
 
+    variant = "white"
     level: float
     omega_hi: float
 
@@ -110,24 +138,12 @@ class WhiteBand:
             raise NonIntegrableSpectrum("unbounded white band has no finite support")
         return (0.0, self.omega_hi)
 
-    def tail_weight(self, epsilon):
-        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon)."""
-        return 0.0
-
-    def power_support(self, epsilon):
-        if not math.isfinite(self.omega_hi):
-            raise NonIntegrableSpectrum("unbounded white band has infinite total power")
-        return (0.0, self.omega_hi)
-
-    def breakpoints(self):
-        return ()
-
-    def to_dict(self):
-        return {"variant": "white", "level": self.level, "omega_hi": self.omega_hi}
+    def rescaled(self, k):
+        return WhiteBand(self.level / k, self.omega_hi / k)
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Spectrum):
     """S = A * omega**exponent on [omega_lo, omega_hi], 0 outside.
 
     Integrability of S/omega^2 at the low end is a construction-time
@@ -135,6 +151,7 @@ class PowerLaw:
     omega_hi may be inf only when exponent < -1 (finite tail mass).
     """
 
+    variant = "powerlaw"
     amplitude: float
     exponent: float
     omega_lo: float
@@ -176,23 +193,16 @@ class PowerLaw:
         hi = self.omega_lo * epsilon ** (1.0 / (self.exponent + 1.0))
         return (self.omega_lo, hi)
 
-    def breakpoints(self):
-        return ()
-
-    def to_dict(self):
-        return {
-            "variant": "powerlaw",
-            "amplitude": self.amplitude,
-            "exponent": self.exponent,
-            "omega_lo": self.omega_lo,
-            "omega_hi": self.omega_hi,
-        }
+    def rescaled(self, k):
+        return PowerLaw(self.amplitude * k ** (self.exponent - 1.0), self.exponent,
+                        self.omega_lo / k, self.omega_hi / k)
 
 
 @dataclass(frozen=True)
-class SupraOhmicExp:
+class SupraOhmicExp(Spectrum):
     """S = alpha * omega^3 * exp(-omega/omega_c)."""
 
+    variant = "supraohmic"
     alpha: float
     omega_c: float
 
@@ -218,25 +228,22 @@ class SupraOhmicExp:
         return (0.0, self.omega_c * float(gammainccinv(2, epsilon)))
 
     def tail_weight(self, epsilon):
-        """chi weight (2/pi) int S/omega^2 beyond effective_support(epsilon):
-        epsilon of the total (2/pi) alpha omega_c^2."""
+        """epsilon of the total chi weight (2/pi) alpha omega_c^2."""
         return (2.0 / np.pi) * self.alpha * self.omega_c ** 2 * epsilon
 
     def power_support(self, epsilon):
         # total power integrand omega^3 exp(): a=4 gamma tail
         return (0.0, self.omega_c * float(gammainccinv(4, epsilon)))
 
-    def breakpoints(self):
-        return ()
-
-    def to_dict(self):
-        return {"variant": "supraohmic", "alpha": self.alpha, "omega_c": self.omega_c}
+    def rescaled(self, k):
+        return SupraOhmicExp(self.alpha * k ** 2, self.omega_c / k)
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(Spectrum):
     """Tabulated S(omega), log-log linear interpolation, 0 outside the table."""
 
+    variant = "tabulated"
     omegas: tuple
     values: tuple
 
@@ -266,18 +273,11 @@ class Tabulated:
     def effective_support(self, epsilon):
         return (self.omegas[0], self.omegas[-1])
 
-    def power_support(self, epsilon):
-        return (self.omegas[0], self.omegas[-1])
-
     def breakpoints(self):
         return tuple(self.omegas[1:-1])
 
-    def to_dict(self):
-        return {
-            "variant": "tabulated",
-            "omegas": list(self.omegas),
-            "values": list(self.values),
-        }
+    def rescaled(self, k):
+        return Tabulated(tuple(w / k for w in self.omegas), tuple(s / k for s in self.values))
 
 
 def eval_spectrum(spec, omega):
@@ -306,37 +306,17 @@ def rescale_time(spec, factor):
 
     factor = (new units per old unit) for time; e.g. seconds to
     picoseconds uses factor 1e12. Frequencies scale by 1/factor and each
-    parameter by its time dimension.
+    parameter by its time dimension. Raises ValueError unless factor is
+    finite and positive.
     """
     k = float(factor)
-    if isinstance(spec, OhmicSharpCutoff):
-        return OhmicSharpCutoff(spec.amplitude, spec.omega_d / k)
-    if isinstance(spec, WhiteBand):
-        return WhiteBand(spec.level / k, spec.omega_hi / k)
-    if isinstance(spec, PowerLaw):
-        return PowerLaw(
-            spec.amplitude * k ** (spec.exponent - 1.0),
-            spec.exponent,
-            spec.omega_lo / k,
-            spec.omega_hi / k,
-        )
-    if isinstance(spec, SupraOhmicExp):
-        return SupraOhmicExp(spec.alpha * k ** 2, spec.omega_c / k)
-    if isinstance(spec, Tabulated):
-        return Tabulated(
-            tuple(w / k for w in spec.omegas),
-            tuple(s / k for s in spec.values),
-        )
-    raise BadConfig(f"unknown spectrum type: {type(spec).__name__}")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"time-unit factor must be finite and positive, got {k!r}")
+    return spec.rescaled(k)
 
 
-_VARIANTS = {
-    "ohmic": OhmicSharpCutoff,
-    "white": WhiteBand,
-    "powerlaw": PowerLaw,
-    "supraohmic": SupraOhmicExp,
-    "tabulated": Tabulated,
-}
+_VARIANTS = {cls.variant: cls for cls in
+             (OhmicSharpCutoff, WhiteBand, PowerLaw, SupraOhmicExp, Tabulated)}
 
 
 def from_dict(d):
@@ -347,10 +327,7 @@ def from_dict(d):
     if name not in _VARIANTS:
         raise BadConfig(f"unknown spectrum variant: {name!r}")
     params = {k: v for k, v in d.items() if k != "variant"}
-    cls = _VARIANTS[name]
     try:
-        if cls is Tabulated:
-            return Tabulated(tuple(params["omegas"]), tuple(params["values"]))
-        return cls(**params)
+        return _VARIANTS[name](**params)
     except TypeError as exc:
         raise BadConfig(f"bad parameters for {name}: {exc}") from exc

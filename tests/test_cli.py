@@ -242,13 +242,31 @@ def test_subprocess_entry_points(tmp_path):
      "JSONDecodeError"),
     (("oracle", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "1",
       "--n-steps", "1024", "--mc", "1"), "ValueError"),
+    (("coherence", "--seq", "udd:4", "--spectrum", "{short_table}", "--tau", "1"),
+     "BadConfig"),
+    (("coherence", "--seq", "udd:4", "--spectrum", "{powerlaw}", "--tau", "1",
+      "--rescale-time", "-2"), "ValueError"),
+    (("coherence", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "1",
+      "--rescale-time", "0"), "ValueError"),
+    (("optimize", "lodd", "--spectrum", "{ohmic}", "--rescale-time", "0",
+      "--n", "2", "--tau", "1"), "ValueError"),
+    (("optimize", "badd", "--spectrum", "{powerlaw}", "--rescale-time", "-2",
+      "--tau", "1", "--tau-switch", "0.2", "--n-max", "2"), "ValueError"),
+    (("oracle", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "1",
+      "--rescale-time", "inf"), "ValueError"),
 ])
 def test_bad_input_is_one_line_json_error(tmp_path, capsys, ohmic_file, argv, error):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
+    short_table = tmp_path / "short_table.json"
+    write_json(short_table, {"variant": "tabulated", "omegas": [1.0, 2.0]})
+    powerlaw = tmp_path / "powerlaw.json"
+    write_json(powerlaw, {"variant": "powerlaw", "amplitude": 1.0, "exponent": 0.5,
+                          "omega_lo": 0.0, "omega_hi": 5.0})
     out = tmp_path / "out.csv"
-    argv = [a.format(ohmic=ohmic_file, malformed=malformed,
-                     missing=tmp_path / "missing.json") for a in argv]
+    argv = [a.format(ohmic=ohmic_file, malformed=malformed, short_table=short_table,
+                     powerlaw=powerlaw, missing=tmp_path / "missing.json")
+            for a in argv]
     code, summary, err = run(capsys, *argv, "--out", str(out))
     assert code == 1 and summary is None
     msg = json.loads(err.strip())

@@ -362,3 +362,23 @@ def test_long_tau_chi_memory_stays_bounded():
         tracemalloc.stop()
     assert peak < 50e6
     assert value == pytest.approx(202.1883798269678, rel=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="PowerLaw has no tail_weight: the part of an unbounded support that "
+    "effective_support drops is never counted, so chi comes out 26% low with a "
+    "4e-20 error estimate; counting it needs the quadrature memory cap first "
+    "(ROADMAP item 8)",
+)
+def test_unbounded_powerlaw_counts_the_dropped_tail():
+    """chi on an unbounded p = -2 power law either raises or lands within its
+    error estimate of the same spectrum cut at 1e4 (whose tail beyond the cut
+    moves chi by about 2e-7 of its value)."""
+    seq = make_canonical("udd", 40)
+    ref = chi(seq, PowerLaw(1.0, -2.0, 0.1, 1e4), 1.0)
+    try:
+        value, info = chi(seq, PowerLaw(1.0, -2.0, 0.1, np.inf), 1.0, full_output=True)
+    except ToleranceNotMet:
+        return
+    assert abs(value - ref) <= max(info["error_estimate"], 1e-6 * ref)

@@ -133,6 +133,13 @@ def test_sample_filter_grid_and_variants():
     assert sq.variant == "quantized:1e-07"
 
 
+@pytest.mark.parametrize("variant", ["ideal", "finite", "quantized"])
+def test_samples_evaluate_reproduces_every_variant(variant):
+    seq = make_custom(make_canonical("udd", 6).deltas, width_ratio=1e-3)
+    s = sample_filter(seq, 1e-2, 1e2, 20, variant=variant, precision=1e-4)
+    assert np.array_equal(s.evaluate(s.u_grid), s.values)
+
+
 def test_sample_filter_rejects_bad_range():
     seq = make_canonical("cpmg", 2)
     with pytest.raises(ValueError):

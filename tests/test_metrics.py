@@ -18,6 +18,7 @@ from ddfilter import (
     rolloff,
     sample_filter,
 )
+from ddfilter import metrics
 
 
 def _samples(fam, n=None, lo=1e-3, hi=1e3, ppd=50, **kw):
@@ -115,6 +116,17 @@ def test_filter_metrics_bundle():
     assert d["rolloff_db_per_octave"] == pytest.approx(30.0, rel=0.05)
     assert d["fit_window"][0] < d["fit_window"][1]
     assert d["passband_mean"] == pytest.approx(18.0, rel=0.05)
+
+
+def test_filter_metrics_refines_u_f1_once(monkeypatch):
+    """The fit window reuses the bundle's u_f1: one bisection, not two."""
+    s = _samples("udd", 4)
+    calls = []
+    real = metrics.omega_f1
+    monkeypatch.setattr(metrics, "omega_f1", lambda samples: calls.append(1) or real(samples))
+    m = filter_metrics(s)
+    assert len(calls) == 1
+    assert m.u_f1 == real(s) and m.rolloff_db_per_octave == rolloff(s)
 
 
 def test_bandpass_profile_cpmg():

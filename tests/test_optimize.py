@@ -111,6 +111,32 @@ def test_lodd_zero_spectrum_degenerate():
     assert np.allclose(res.sequence.deltas, make_canonical("udd", 4).deltas)
 
 
+def test_zero_spectrum_keeps_labels_and_diagnostic_keys():
+    zero = WhiteBand(level=0.0, omega_hi=5.0)
+    lodd = optimize_lodd(zero, 3, 1.0, FAST)
+    assert lodd.sequence.label == "udd" and lodd.objective_value == 0.0
+    assert {"converged", "degenerate", "iterations", "function_evals", "restarts",
+            "start_label"} <= lodd.diagnostics.keys()
+    badd = optimize_badd(zero, 1.0, 0.3, 2, FAST)
+    assert badd.sequence.label == "badd" and badd.objective_value == 0.0
+    assert np.allclose(badd.sequence.deltas, [0.5])
+    d = badd.diagnostics
+    assert d["n_best"] == 1 and d["start_label"] == "udd" and d["function_evals"] == 0
+    assert "degenerate" not in d
+
+
+def test_single_feasible_point_is_uniform_for_lodd_and_ofdd():
+    cfg = OptimizationConfig(restarts=0, min_gap_fraction=0.25)
+    for res, label in ((optimize_lodd(OHMIC, 3, 2.0, cfg), "lodd"),
+                       (optimize_ofdd(3, 4.0, cfg), "ofdd")):
+        assert res.sequence.label == label
+        assert np.allclose(res.sequence.deltas, [0.25, 0.5, 0.75])
+        d = res.diagnostics
+        assert d["start_label"] == "uniform" and d["function_evals"] == 1
+        assert d["constraint_slack"] == pytest.approx(0.0, abs=1e-12)
+        assert set(res.baseline_values.values()) == {res.objective_value}
+
+
 def test_lodd_validates_n():
     with pytest.raises(ValueError):
         optimize_lodd(OHMIC, 0, 1.0, FAST)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddfilter import QuadratureConfig, ToleranceNotMet, build_edges, integrate
+from ddfilter.quadrature import panel_nodes
 
 
 def test_smooth_integral_exact():
@@ -75,3 +76,13 @@ def test_build_edges_validation():
     assert any(abs(e - 2.0) < 1e-15 for e in edges)  # inside breakpoint kept
     assert not any(e > 10.0 for e in edges)  # outside breakpoint dropped
     assert np.max(np.diff(edges)) <= 3.0 + 1e-12
+
+
+@pytest.mark.parametrize("order", [10, 21])
+def test_panel_nodes_integrate_polynomials_exactly(order):
+    edges = build_edges(0.0, 3.0, breakpoints=(1.0,), max_panel=0.5)
+    nodes, weights = panel_nodes(edges, order)
+    assert nodes.shape == weights.shape == ((edges.size - 1) * order,)
+    assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] and nodes[-1] < 3.0
+    k = 2 * order - 1
+    assert weights @ nodes ** k == pytest.approx(3.0 ** (k + 1) / (k + 1), rel=1e-13)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ddfilter import (
     NonIntegrableSpectrum,
     OhmicSharpCutoff,
     PowerLaw,
+    Spectrum,
     SupraOhmicExp,
     Tabulated,
     WhiteBand,
@@ -153,6 +155,57 @@ def test_from_dict_rejects_bad_config():
         from_dict({"variant": "nope"})
     with pytest.raises(BadConfig):
         from_dict({"variant": "ohmic", "bogus_field": 1.0})
+    with pytest.raises(BadConfig, match="values"):
+        from_dict({"variant": "tabulated", "omegas": [1.0, 2.0]})
+    with pytest.raises(BadConfig, match="extra"):
+        from_dict({"variant": "tabulated", "omegas": [1.0, 2.0], "values": [1.0, 2.0],
+                   "extra": 1})
+
+
+ALL_VARIANTS = [
+    OhmicSharpCutoff(amplitude=0.7, omega_d=5.0),
+    WhiteBand(level=0.02, omega_hi=40.0),
+    PowerLaw(amplitude=1.0, exponent=0.5, omega_lo=0.0, omega_hi=5.0),
+    SupraOhmicExp(alpha=1.14e-2, omega_c=3.0),
+    Tabulated(omegas=(0.5, 5.0), values=(0.01, 0.1)),
+]
+
+
+@pytest.mark.parametrize("factor", [0, 0.0, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("spec", ALL_VARIANTS, ids=lambda s: s.variant)
+def test_rescale_time_rejects_bad_factor(spec, factor):
+    with pytest.raises(ValueError, match="finite and positive"):
+        rescale_time(spec, factor)
+
+
+@dataclass(frozen=True)
+class _FlatBand(Spectrum):
+    """White band without a structure function: only what a spectrum must define."""
+
+    variant = "flat"
+    level: float
+    omega_hi: float
+
+    def evaluate(self, omega):
+        return np.where(np.asarray(omega) <= self.omega_hi, self.level, 0.0)
+
+    def effective_support(self, epsilon):
+        return (0.0, self.omega_hi)
+
+    def rescaled(self, k):
+        return _FlatBand(self.level / k, self.omega_hi / k)
+
+
+def test_new_spectrum_inherits_the_defaults():
+    flat = _FlatBand(0.02, 40.0)
+    assert flat.to_dict() == {"variant": "flat", "level": 0.02, "omega_hi": 40.0}
+    assert flat.structure_function is None and flat.tail_weight(1e-9) == 0.0
+    assert flat.breakpoints() == () and flat.power_support(1e-9) == (0.0, 40.0)
+    seq = make_canonical("cpmg", 4)
+    value, info = chi(seq, flat, 2.0, full_output=True)
+    assert info["path"] == "quadrature"
+    assert value == pytest.approx(chi(seq, WhiteBand(0.02, 40.0), 2.0), rel=1e-7)
+    assert chi(seq, rescale_time(flat, 1e3), 2e3) == pytest.approx(value, rel=1e-7)
 
 
 NAN = math.nan
