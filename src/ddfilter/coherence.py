@@ -46,8 +46,9 @@ import numpy as np
 
 from .errors import CurveFailure, ToleranceNotMet
 from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
-                      filter_value_finite, pair_sums)
+                      filter_value_finite, pair_plan)
 from .quadrature import NODES, QuadratureConfig, build_edges, integrate
+from .sequences import make_custom
 from .spectra import effective_support
 
 
@@ -68,10 +69,17 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
-    cfg = cfg or QuadratureConfig()
+    return _chi(seq.deltas, seq.width_ratio, spec, tau, cfg or QuadratureConfig(),
+                full_output, seq)
+
+
+def _chi(deltas, width_ratio, spec, tau, cfg, full_output=False, seq=None):
+    """chi at valid positions (an array from the optimizer objectives); a
+    PulseSequence is built, when seq is None, only for quadrature."""
     series = False
     if spec.structure_function is not None:
-        total, magnitude, _ = pair_sums(seq, lambda lag: spec.structure_function(tau * lag))
+        plan = pair_plan(len(deltas), width_ratio)
+        total, magnitude = plan.sums(deltas, lambda lag: spec.structure_function(tau * lag))
         value = -2.0 * total + 0.0
         bound = 2.0 * PAIR_ROUNDING * magnitude
         if bound <= 0.1 * cfg.rel_tol * value:
@@ -79,6 +87,8 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
                 return value, {"path": "pairwise", "error_estimate": bound}
             return value
         series = bool(bound >= abs(value))
+    if seq is None:
+        seq = make_custom(deltas, width_ratio)
     return _chi_quadrature(seq, spec, tau, cfg, full_output, series)
 
 

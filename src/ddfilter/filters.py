@@ -20,7 +20,9 @@ product of at most 2^16 multiply-adds per block.
 The same filter also has the pairwise form F(u) = sum_jk c_j c_k
 cos(u (t_j - t_k)) over the switching times t_k of the toggling function
 and their coefficients c_k (pair_sums), which turns overlaps of F with a
-kernel into sums over pairs of switching times.
+kernel into sums over pairs of switching times. The pairs, c_j c_k and the
+width offsets depend only on n and the width, so pair_plan builds them
+once per (n, width) and each sum only gathers the positions.
 
 The segment sum still has an absolute rounding floor of about
 eps * min(n + 1, u/2), far above F deep in the stop band, where F falls
@@ -30,6 +32,7 @@ moments are formed in double-double arithmetic, so F = |z|^2 keeps its
 relative precision however small it is.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,13 +50,16 @@ def _segments(deltas):
 
 
 _PAIR_BLOCK = 1 << 20      # pairs per block: bounds pair_sums' memory
+_PLAN_PAIRS = 1 << 16      # a plan up to this many pairs keeps its blocks (2 MB)
 # Rounding bound on a pair_sums total per unit of its magnitude sum: a few
 # ulp per kernel value and product plus the summation, with a wide margin.
 PAIR_ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _switching_times(seq):
-    """(anchors, offsets, c) with F(u) = |sum_k c_k e^(iu(anchor_k + offset_k))|^2.
+def _switching_layout(n, width_ratio):
+    """(slots, offsets, c): switching time k is p[slots[k]] + offsets[k] for
+    p = (0, delta_1, ..., delta_n, 1), with coefficient c_k in
+    F(u) = |sum_k c_k e^(iu t_k)|^2.
 
     Instantaneous pulses switch at 0, delta_j and 1 with c = (1, 2(-1)^j,
     (-1)^(n+1)); free decay has c = (1/2, -1/2) at 0 and 1. A pulse of
@@ -61,19 +67,60 @@ def _switching_times(seq):
     coefficient splits into two halves at the window edges. Times are
     kept as anchor + offset so that the lag across one window is exactly r.
     """
-    d = np.asarray(seq.deltas, dtype=float)
-    n = d.size
     if n == 0:
-        return np.array([0.0, 1.0]), np.zeros(2), np.array([0.5, -0.5])
+        return np.arange(2), np.zeros(2), np.array([0.5, -0.5])
     signs = (-1.0) ** np.arange(1, n + 1)
     last = (-1.0) ** (n + 1)
-    if seq.width_ratio == 0:
-        return (np.concatenate([[0.0], d, [1.0]]), np.zeros(n + 2),
+    if width_ratio == 0:
+        return (np.arange(n + 2), np.zeros(n + 2),
                 np.concatenate([[1.0], 2.0 * signs, [last]]))
-    h = 0.5 * seq.width_ratio
-    return (np.concatenate([[0.0], np.repeat(d, 2), [1.0]]),
+    h = 0.5 * width_ratio
+    return (np.concatenate([[0], np.repeat(np.arange(1, n + 1), 2), [n + 1]]),
             np.concatenate([[0.0], np.tile([-h, h], n), [0.0]]),
             np.concatenate([[1.0], np.repeat(signs, 2), [last]]))
+
+
+def _switching_times(seq):
+    """(anchors, offsets, c) with F(u) = |sum_k c_k e^(iu(anchor_k + offset_k))|^2."""
+    slots, offsets, c = _switching_layout(seq.n, seq.width_ratio)
+    return np.concatenate([[0.0], seq.deltas, [1.0]])[slots], offsets, c
+
+
+class _PairPlan:
+    """The pairs of n pulses at one width ratio, row-major j < k in blocks of
+    about _PAIR_BLOCK: slots of t_j and t_k, c_j c_k and o_k - o_j. Up to
+    _PLAN_PAIRS pairs the blocks are kept, above they are rebuilt per sum."""
+
+    def __init__(self, n, width_ratio):
+        self.slots, self.offsets, self.c = _switching_layout(n, width_ratio)
+        self.c.flags.writeable = False      # shared by every caller of the plan
+        m = self.c.size
+        self._rows = max(1, _PAIR_BLOCK // m)
+        self._kept = tuple(self._build()) if m * (m - 1) // 2 <= _PLAN_PAIRS else None
+
+    def _build(self):
+        m = self.c.size
+        cols = np.arange(m)
+        for i0 in range(0, m - 1, self._rows):
+            j, k = np.nonzero(np.arange(i0, min(i0 + self._rows, m - 1))[:, None] < cols)
+            j += i0
+            yield (self.slots[j], self.slots[k], self.c[j] * self.c[k],
+                   self.offsets[k] - self.offsets[j])
+
+    def sums(self, deltas, kernel):
+        """pair_sums' two sums at positions deltas, each term computed as
+        (c_j c_k) K((a_k - a_j) + (o_k - o_j))."""
+        p = np.empty(self.slots[-1] + 1)        # (0, deltas, 1)
+        p[0], p[1:-1], p[-1] = 0.0, deltas, 1.0
+        total = magnitude = 0.0
+        for js, ks, cc, lag_o in self._build() if self._kept is None else self._kept:
+            w = cc * kernel((p[ks] - p[js]) + lag_o)
+            total += w.sum()
+            magnitude += np.abs(w).sum()
+        return float(total), float(magnitude)
+
+
+pair_plan = functools.lru_cache(maxsize=16)(_PairPlan)    # pair_plan(n, width_ratio)
 
 
 def pair_sums(seq, kernel):
@@ -82,20 +129,11 @@ def pair_sums(seq, kernel):
     Returns (sum_{j<k} c_j c_k K(t_k - t_j), sum_{j<k} |c_j c_k K(t_k - t_j)|,
     c) over the switching times of seq (finite width included); the
     second sum scales the rounding error of the first. kernel maps an
-    array of positive lags (fractions of the total time) to K.
+    array of positive lags (fractions of the total time) to K. The
+    optimizer objectives call the cached pair_plan with arrays directly.
     """
-    a, o, c = _switching_times(seq)
-    m = c.size
-    total = magnitude = 0.0
-    rows = max(1, _PAIR_BLOCK // m)
-    cols = np.arange(m)
-    for i0 in range(0, m - 1, rows):
-        j, k = np.nonzero(np.arange(i0, min(i0 + rows, m - 1))[:, None] < cols)
-        j += i0
-        w = c[j] * c[k] * kernel((a[k] - a[j]) + (o[k] - o[j]))
-        total += w.sum()
-        magnitude += np.abs(w).sum()
-    return float(total), float(magnitude), c
+    plan = pair_plan(seq.n, seq.width_ratio)
+    return (*plan.sums(seq.deltas, kernel), plan.c)
 
 
 # Multiply-adds per complex product (2^12 for one row, a vector-matrix

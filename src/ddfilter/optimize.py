@@ -11,18 +11,28 @@ constraint; Nelder-Mead runs in x-space from canonical-family starts
 plus seeded jitter. A minimum-gap constraint g_i >= gmin becomes an
 affine squeeze of the simplex, and infeasible starting gaps are first
 projected (Euclidean) onto the constrained set.
+
+The objectives map a position array straight to a value, with no
+PulseSequence per evaluation: they raise make_custom's DDError for
+positions it rejects (the engine scores those inf), and the pairwise sums
+run on filters.pair_plan, built once per pulse count. Only a quadrature
+fallback (pairwise rounding bound too large, or a spectrum without a
+structure function) and the final result build a sequence.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .coherence import chi
+from .coherence import _chi
 from .errors import DDError, Infeasible, NotConverged
-from .filters import PAIR_ROUNDING, filter_value, pair_sums
+from .filters import PAIR_ROUNDING, filter_value, pair_plan
 from .quadrature import QuadratureConfig, build_edges, integrate, panel_nodes
-from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
+from .sequences import (PulseSequence, _validate, canonical_deltas, make_custom,
+                        min_gap)
 from .spectra import PowerLaw, Tabulated
 
 
@@ -36,10 +46,28 @@ class OptimizationConfig:
     min_gap_fraction: float = None  # optional constraint: every gap >= this
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
+        _integer(self.restarts, "restarts", 0)
+        if self.max_iterations is not None:
+            _integer(self.max_iterations, "max_iterations", 1)
+        _positive(self.tol, "tol")
+        _positive(self.step_scale, "step_scale")
+        gmin = self.min_gap_fraction
+        if gmin is not None and not (isinstance(gmin, numbers.Real) and 0.0 <= gmin < 1.0):
+            raise ValueError(f"min_gap_fraction must be in [0, 1), got {gmin!r}")
+
+
+def _integer(value, name, least):
+    """value as an int, or ValueError unless it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name):
+    """value as a float, or ValueError unless it is a finite number > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -119,8 +147,12 @@ _AREA_QUAD = QuadratureConfig(rel_tol=1e-9, max_subdivisions=6)
 
 
 def _chi_objective(spec, tau):
+    """chi(make_custom(deltas), spec, tau, _OBJ_QUAD) from the position
+    array: the pairwise route needs no PulseSequence, quadrature builds one."""
     def f(deltas):
-        return chi(make_custom(deltas), spec, tau, _OBJ_QUAD)
+        d = np.asarray(deltas, dtype=float)
+        _validate(d, 0.0)
+        return _chi(d, 0.0, spec, tau, _OBJ_QUAD)
     return f
 
 
@@ -134,16 +166,19 @@ def _area_objective(u_max, resolution=8):
     quadrature's relative tolerance, quadrature of the cancellation-free
     filter.
     """
-    u_max = float(u_max)
+    u_max = _positive(u_max, "u_max")
     edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / resolution)
 
     def f(deltas):
-        seq = make_custom(deltas)
-        total, _mag, c = pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
-        value = u_max * float(c @ c) + 2.0 * total
-        bound = PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2
+        d = np.asarray(deltas, dtype=float)
+        _validate(d, 0.0)
+        plan = pair_plan(d.size, 0.0)
+        total, _mag = plan.sums(d, lambda lag: np.sin(u_max * lag) / lag)
+        value = u_max * float(plan.c @ plan.c) + 2.0 * total
+        bound = PAIR_ROUNDING * u_max * float(np.abs(plan.c).sum()) ** 2
         if bound <= 0.1 * _AREA_QUAD.rel_tol * value:
             return value
+        seq = make_custom(d)
         value, _err, _np_ = integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD,
                                       raise_on_fail=False)
         return value
@@ -151,8 +186,10 @@ def _area_objective(u_max, resolution=8):
 
 
 def filter_area(seq, u_max):
-    """Area under F(u) from 0 to u_max (the OFDD objective)."""
-    return _area_objective(u_max)(np.asarray(seq.deltas))
+    """Area under the ideal F(u) from 0 to u_max (the OFDD objective)."""
+    if seq.width_ratio != 0:
+        raise ValueError("filter_area requires width_ratio 0 (the ideal filter)")
+    return _area_objective(u_max)(seq.deltas)
 
 
 def _kernel_chi_objective(spec, tau, n_delta=40001, resolution=8):
@@ -177,10 +214,8 @@ def _kernel_chi_objective(spec, tau, n_delta=40001, resolution=8):
     table *= 2.0 / np.pi
 
     def f(deltas):
-        n = len(deltas)
         p = np.concatenate([[0.0], deltas, [1.0]])
-        c = np.concatenate([[1.0], 2.0 * (-1.0) ** np.arange(1, n + 1),
-                            [(-1.0) ** (n + 1)]])
+        c = pair_plan(len(deltas), 0.0).c
         diffs = np.abs(p[:, None] - p[None, :])
         K = np.interp(diffs.ravel(), dgrid, table).reshape(diffs.shape)
         return float(c @ K @ c)
@@ -216,7 +251,8 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
     copies (the first of equals), its positions, and the objective at the
     canonical starts. A constraint that leaves one feasible point returns
     the uniform gaps; a zero objective at every canonical start (zero
-    spectrum) returns the UDD baseline with best["degenerate"] set.
+    spectrum) returns the UDD baseline, projected onto the constraint as
+    the baselines are, with best["degenerate"] set.
     """
     if gmin > 0 and (n + 1) * gmin > 1.0:
         raise Infeasible(
@@ -260,10 +296,10 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
         starts.append((f"jitter{k}", base + rng.normal(0.0, 1.0, n) * cfg.step_scale))
 
     if all(v == 0.0 for v in baselines.values()):
-        # degenerate objective (zero spectrum): retain the UDD baseline
+        # degenerate objective (zero spectrum): retain the (projected) UDD baseline
         best = {"objective": 0.0, "label": "udd", "iterations": 0, "function_evals": 0,
                 "converged": True, "degenerate": True}
-        return best, canonical_deltas("udd", n), baselines
+        return best, to_deltas(starts[0][1]), baselines
 
     best = None
     for lbl, x0 in starts:
@@ -299,8 +335,8 @@ def _result(best, deltas, baselines, cfg, label, gmin=0.0, **extra):
 def optimize_lodd(spec, n, tau, cfg=None):
     """Minimize chi over pulse positions for a fixed spectrum and tau."""
     cfg = cfg or OptimizationConfig()
-    if n < 1:
-        raise ValueError("LODD requires n >= 1")
+    n = _integer(n, "LODD pulse count n", 1)
+    tau = _positive(tau, "tau")
     gmin = cfg.min_gap_fraction or 0.0
     return _result(*_optimize_core(_chi_objective(spec, tau), n, cfg, gmin), cfg, "lodd", gmin)
 
@@ -308,10 +344,7 @@ def optimize_lodd(spec, n, tau, cfg=None):
 def optimize_ofdd(n, u_max, cfg=None):
     """Minimize the filter-function area on [0, u_max]; spectrum-free."""
     cfg = cfg or OptimizationConfig()
-    if n < 1:
-        raise ValueError("OFDD requires n >= 1")
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
+    n = _integer(n, "OFDD pulse count n", 1)
     gmin = cfg.min_gap_fraction or 0.0
     return _result(*_optimize_core(_area_objective(u_max), n, cfg, gmin), cfg, "ofdd", gmin)
 
@@ -328,10 +361,12 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     the projected (feasible) canonical sequences at the winning n.
     """
     cfg = cfg or OptimizationConfig()
-    if not tau > tau_switch > 0:
+    tau, tau_switch = _positive(tau, "tau"), _positive(tau_switch, "tau_switch")
+    if not tau > tau_switch:
         raise ValueError("require tau > tau_switch > 0")
+    n_max = _integer(n_max, "n_max", 1)
     gmin = tau_switch / tau
-    n_hi = min(int(n_max), int(np.floor(tau / tau_switch * (1.0 + 1e-12))) - 1)
+    n_hi = min(n_max, int(np.floor(tau / tau_switch * (1.0 + 1e-12))) - 1)
     if n_hi < 1:
         raise Infeasible(
             f"tau_switch={tau_switch:g} leaves no room for one pulse in tau={tau:g}")

@@ -58,7 +58,7 @@ def _validate(deltas, width_ratio):
     arr = np.asarray(deltas, dtype=float)
     if arr.size == 0:
         return  # FID
-    if not np.all(np.diff(arr) > 0):
+    if not (arr[1:] > arr[:-1]).all():
         raise NonMonotonic(f"deltas must be strictly increasing, got {arr.tolist()}")
     if not (arr[0] > 0.0 and arr[-1] < 1.0):
         raise OutOfRange(f"deltas must lie strictly inside (0, 1), got {arr.tolist()}")

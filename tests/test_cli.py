@@ -254,6 +254,7 @@ def test_subprocess_entry_points(tmp_path):
       "--tau", "1", "--tau-switch", "0.2", "--n-max", "2"), "ValueError"),
     (("oracle", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "1",
       "--rescale-time", "inf"), "ValueError"),
+    (("optimize", "ofdd", "--n", "2", "--u-max", "inf"), "ValueError"),
 ])
 def test_bad_input_is_one_line_json_error(tmp_path, capsys, ohmic_file, argv, error):
     malformed = tmp_path / "malformed.json"

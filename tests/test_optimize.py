@@ -1,16 +1,23 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddfilter import (
+    DDError,
     Infeasible,
     OhmicSharpCutoff,
     OptimizationConfig,
+    PowerLaw,
     QuadratureConfig,
     SupraOhmicExp,
+    Tabulated,
     WhiteBand,
     build_edges,
+    canonical_deltas,
     chi,
     filter_area,
     filter_value,
@@ -23,14 +30,19 @@ from ddfilter import (
     optimize_ofdd,
 )
 from ddfilter.optimize import (
+    _AREA_QUAD,
+    _OBJ_QUAD,
     alr_to_gaps,
     deltas_to_gaps,
     gaps_to_alr,
     gaps_to_deltas,
     project_gaps,
+    _area_objective,
+    _chi_objective,
     _kernel_chi_objective,
 )
-from ddfilter.filters import pair_sums
+from ddfilter import filters
+from ddfilter.filters import _PAIR_BLOCK, PAIR_ROUNDING, _switching_times, pair_sums
 
 OHMIC = OhmicSharpCutoff(amplitude=1.0, omega_d=1.0)
 SUPRA = SupraOhmicExp(alpha=1.14e-2, omega_c=3.0)
@@ -111,6 +123,18 @@ def test_lodd_zero_spectrum_degenerate():
     assert np.allclose(res.sequence.deltas, make_canonical("udd", 4).deltas)
 
 
+def test_degenerate_lodd_keeps_the_minimum_gap():
+    """On a zero spectrum the result is the projected UDD baseline."""
+    res = optimize_lodd(WhiteBand(0, 5), 4, 1,
+                        OptimizationConfig(restarts=0, min_gap_fraction=0.15))
+    assert res.diagnostics["degenerate"] is True and res.objective_value == 0.0
+    gaps = deltas_to_gaps(np.asarray(res.sequence.deltas))
+    assert gaps.min() >= 0.15 - 1e-12
+    assert res.diagnostics["constraint_slack"] >= -1e-12
+    projected = gaps_to_deltas(project_gaps(deltas_to_gaps(canonical_deltas("udd", 4)), 0.15))
+    assert np.allclose(res.sequence.deltas, projected, rtol=0, atol=1e-9)
+
+
 def test_zero_spectrum_keeps_labels_and_diagnostic_keys():
     zero = WhiteBand(level=0.0, omega_hi=5.0)
     lodd = optimize_lodd(zero, 3, 1.0, FAST)
@@ -163,6 +187,16 @@ def test_ofdd_validates_input():
         optimize_ofdd(0, 5.0, FAST)
     with pytest.raises(ValueError):
         optimize_ofdd(3, -1.0, FAST)
+
+
+def test_filter_area_is_the_ideal_filter_area():
+    """Finite width is refused rather than dropped; free decay keeps its
+    coefficients (1/2, -1/2): area u/2 - sin(u)/2."""
+    with pytest.raises(ValueError):
+        filter_area(make_custom([0.3, 0.7], width_ratio=0.1), 5.0)
+    assert filter_area(make_canonical("fid"), 5.0) == 2.979462137331569
+    assert filter_area(make_canonical("fid"), 5.0) == pytest.approx(
+        2.5 - 0.5 * math.sin(5.0), rel=1e-15)
 
 
 def test_filter_area_positive_and_increasing():
@@ -233,3 +267,130 @@ def test_result_to_dict_shape():
     doc = res.to_dict()
     assert {"sequence", "objective_value", "baseline_values", "diagnostics"} <= set(doc)
     assert doc["sequence"]["n"] == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimize_ofdd(2, math.inf),
+    lambda: optimize_ofdd(2, math.nan),
+    lambda: optimize_ofdd(2.5, 4.0),
+    lambda: optimize_badd(SUPRA, math.inf, 0.1, 3),
+    lambda: optimize_badd(SUPRA, 1.0, math.nan, 3),
+    lambda: optimize_badd(SUPRA, 1.0, 0.1, 2.5),
+    lambda: optimize_lodd(OHMIC, 2.5, 1.0),
+    lambda: optimize_lodd(OHMIC, 2, math.inf),
+    lambda: filter_area(make_canonical("udd", 2), math.inf),
+    lambda: OptimizationConfig(min_gap_fraction=math.nan),
+    lambda: OptimizationConfig(min_gap_fraction=-0.1),
+    lambda: OptimizationConfig(tol=math.nan),
+    lambda: OptimizationConfig(step_scale=math.nan),
+    lambda: OptimizationConfig(restarts=1.5),
+    lambda: OptimizationConfig(max_iterations=0),
+], ids=["ofdd-u-inf", "ofdd-u-nan", "ofdd-n-float", "badd-tau-inf", "badd-switch-nan",
+        "badd-nmax-float", "lodd-n-float", "lodd-tau-inf", "area-u-inf", "gap-nan",
+        "gap-negative", "tol-nan", "step-nan", "restarts-float", "maxiter-0"])
+def test_optimizer_entry_points_reject_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# --------------------------------------------- array objectives, bit for bit
+
+def _reference_pair_sums(seq, kernel, block=_PAIR_BLOCK):
+    """pair_sums as np.nonzero pairs over the switching times in blocks of
+    rows, each term c_j c_k K((a_k - a_j) + (o_k - o_j)): the loop the pair
+    plan replaces."""
+    a, o, c = _switching_times(seq)
+    m = c.size
+    total = magnitude = 0.0
+    rows = max(1, block // m)
+    for i0 in range(0, m - 1, rows):
+        j, k = np.nonzero(np.arange(i0, min(i0 + rows, m - 1))[:, None] < np.arange(m))
+        j += i0
+        w = c[j] * c[k] * kernel((a[k] - a[j]) + (o[k] - o[j]))
+        total += w.sum()
+        magnitude += np.abs(w).sum()
+    return float(total), float(magnitude)
+
+
+def _reference_area(deltas, u_max):
+    """The OFDD area as a PulseSequence, the reference pair sum and its
+    quadrature fallback."""
+    seq = make_custom(deltas)
+    total, _mag = _reference_pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
+    c = _switching_times(seq)[2]
+    value = u_max * float(c @ c) + 2.0 * total
+    if PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2 <= 0.1 * _AREA_QUAD.rel_tol * value:
+        return value
+    edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 8)
+    return integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD, raise_on_fail=False)[0]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DDError as exc:
+        return type(exc)
+
+
+_OMEGAS = np.geomspace(0.05, 20.0, 12)
+_SPECTRA = [OhmicSharpCutoff(1.0, 1.0), SUPRA, WhiteBand(0.3, 4.0),
+            PowerLaw(0.2, 0.5, 0.01, 5.0),
+            Tabulated(tuple(_OMEGAS), tuple(1.0 / (1.0 + _OMEGAS ** 2)))]
+
+
+@st.composite
+def _positions(draw):
+    """Random strictly increasing positions, or a canonical family (whose
+    high stop-band order at small tau sends chi to the series fallback)."""
+    n = draw(st.integers(1, 8))
+    family = draw(st.sampled_from(["random", "udd", "cpmg", "pdd"]))
+    if family != "random":
+        return canonical_deltas(family, n)
+    raw = draw(st.lists(st.floats(0.02, 1.0), min_size=n + 1, max_size=n + 1))
+    return gaps_to_deltas(np.array(raw) / sum(raw))
+
+
+@given(_positions(), st.sampled_from(range(len(_SPECTRA))), st.floats(-2.0, 1.3),
+       st.floats(0.3, 12.0))
+@settings(max_examples=200, deadline=None)
+def test_array_objectives_are_bit_identical(d, which, log_tau, u_max):
+    """The array objectives return exactly what a PulseSequence per call
+    gives: chi on every route (pairwise, the direct and series quadrature
+    fallbacks, quadrature for power-law and tabulated spectra) and the
+    area on the reference pair sum or its quadrature."""
+    if not np.all(np.diff(d) > 0):
+        return              # extreme gap draws can round two positions together
+    spec, tau = _SPECTRA[which], 10.0 ** log_tau
+    assert _outcome(_chi_objective(spec, tau), d) == \
+        _outcome(chi, make_custom(d), spec, tau, _OBJ_QUAD)
+    assert _area_objective(u_max)(d) == _reference_area(d, u_max)
+    kernel = OHMIC.structure_function
+    for width in (0.0, 0.5 * (np.diff(np.concatenate([[0.0], d, [1.0]])).min())):
+        seq = make_custom(d, width_ratio=width)
+        assert pair_sums(seq, kernel)[:2] == _reference_pair_sums(seq, kernel)
+        # several blocks, rebuilt on every sum as above _PLAN_PAIRS
+        with mock.patch.object(filters, "_PAIR_BLOCK", 7), \
+                mock.patch.object(filters, "_PLAN_PAIRS", 0):
+            plan = filters._PairPlan(seq.n, seq.width_ratio)
+        assert plan.sums(seq.deltas, kernel) == _reference_pair_sums(seq, kernel, 7)
+
+
+@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=6))
+@example([0.5, math.nan])
+@example([math.nan])
+@example([0.0, 0.5])
+@example([0.5, 1.0])
+@example([0.4, 0.4])
+@settings(max_examples=60, deadline=None)
+def test_invalid_positions_score_inf(raw):
+    """On non-increasing or out-of-range positions the objectives raise what
+    make_custom raises (NonMonotonic, OutOfRange), a DDError that the
+    Nelder-Mead objective of _optimize_core scores inf."""
+    d = np.array(raw)
+    valid = np.all(np.diff(d) > 0) and d[0] > 0 and d[-1] < 1
+    for objective in (_chi_objective(OHMIC, 2.0), _area_objective(5.0)):
+        outcome = _outcome(objective, d)
+        if valid:
+            assert np.isfinite(outcome)
+        else:
+            assert outcome is _outcome(make_custom, d) and issubclass(outcome, DDError)
