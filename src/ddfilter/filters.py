@@ -15,7 +15,12 @@ of in floating point (the naive phasor sum loses ~5 digits at u=1e-2).
 
 On quadrature panels, u = mid + hw x, every summand splits into a
 per-panel and a per-node factor (_panel_z), so z is a complex matrix
-product of at most 2^16 multiply-adds per block.
+product of at most 2^16 multiply-adds per block. A uniform 1-D grid
+(linspace, or a linspace times a constant, of at least _FOLD_MIN points x
+segments) has the same form once folded into rows u_0 + h (q b + j) of
+b = ceil(sqrt(N)) points (_fold), and takes the same route. Logarithmic,
+reversed or perturbed grids, 2-D arrays without nodes and smaller
+grids go node by node (_node_z).
 
 The same filter also has the pairwise form F(u) = sum_jk c_j c_k
 cos(u (t_j - t_k)) over the switching times t_k of the toggling function
@@ -210,17 +215,47 @@ def _panel_z(deltas, u, nodes, r):
     return z
 
 
+_FOLD_MIN = 1 << 12    # points x segments from which a uniform grid is folded
+
+
+def _fold(u, segments):
+    """A 1-D grid u_i = u_0 + h i (h > 0, each point within 64 eps u of it)
+    as rows u_0 + h (q b + j), b = ceil(sqrt(N)), padded past u_(N-1) and
+    keeping the given points; None for any other grid, for one under 16
+    points and for one whose points x segments fall below _FOLD_MIN, where
+    the node-by-node sum is faster."""
+    size = u.size
+    if u.ndim != 1 or size < 16 or size * segments < _FOLD_MIN:
+        return None
+    h, tol = (u[-1] - u[0]) / (size - 1), 64.0 * _EPS * u[-1]
+    if not h > 0.0 or abs(u[0] + h - u[1]) > tol:     # the second point: a cheap first test
+        return None
+    b = math.isqrt(size - 1) + 1
+    grid = u[0] + h * np.arange(-(-size // b) * b)
+    if np.any(np.abs(grid[:size] - u) > tol):
+        return None
+    grid[:size] = u
+    return grid.reshape(-1, b)
+
+
 def _filter(seq, u, r, nodes):
-    """F(u) at width ratio r: the one evaluator behind both public names."""
+    """F(u) at width ratio r: the one evaluator behind both public names.
+
+    A uniform 1-D grid without nodes goes to _panel_z folded (_fold), with
+    offsets x = j: transcendentals per row and per column, not per point."""
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(uu < 0):
-        raise ValueError("u must be >= 0")
+    if not np.all((uu >= 0) & (uu < math.inf)):
+        raise ValueError("u must be finite and >= 0")
     if seq.n == 0:
         out = np.sin(uu / 2.0) ** 2
     else:
         d = np.asarray(seq.deltas, dtype=float)
-        z = _node_z(d, uu, r) if nodes is None else _panel_z(d, uu, nodes, r)
+        grid = _fold(uu, d.size + 1) if nodes is None else None
+        if grid is not None:
+            z = _panel_z(d, grid, np.arange(grid.shape[1]), r).ravel()[:uu.size]
+        else:
+            z = _node_z(d, uu, r) if nodes is None else _panel_z(d, uu, nodes, r)
         out = 4.0 * (z.real ** 2 + z.imag ** 2)
     return float(out[0]) if scalar else out
 
@@ -409,19 +444,28 @@ class FilterSamples:
         return filter_value_finite(self.sequence, u, self.width_ratio)
 
 
+@functools.lru_cache(maxsize=16)
+def _log_grid(u_min, u_max, points):
+    """The read-only log grid that every sample set of these bounds shares."""
+    grid = np.logspace(np.log10(u_min), np.log10(u_max), points)
+    grid.flags.writeable = False
+    return grid
+
+
 def sample_filter(seq, u_min, u_max, points_per_decade, variant="ideal", precision=None):
     """Sample F on a log grid; points = round(ppd * decades).
 
     variant: "ideal", "finite" (uses seq.width_ratio over u' = omega*tau_total),
     or "quantized" (quantize_timing at `precision`, then ideal evaluation).
+    Sample sets over the same grid share one read-only u_grid array.
     """
-    if not 0 < u_min < u_max:
-        raise ValueError("need 0 < u_min < u_max")
-    if points_per_decade < 1:
-        raise ValueError("points_per_decade must be >= 1")
+    if not 0 < u_min < u_max < math.inf:
+        raise ValueError("need 0 < u_min < u_max < inf")
+    if not 1 <= points_per_decade < math.inf:
+        raise ValueError("points_per_decade must be finite and >= 1")
     decades = np.log10(u_max / u_min)
     npts = max(2, int(round(points_per_decade * decades)))
-    grid = np.logspace(np.log10(u_min), np.log10(u_max), npts)
+    grid = _log_grid(float(u_min), float(u_max), npts)
 
     if variant == "ideal":
         src = seq

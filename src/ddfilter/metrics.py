@@ -26,6 +26,7 @@ FLOOR = 1e-30      # hard numeric floor used for ratio masking
 
 PASSBAND_LO = 100.0 * np.pi
 PASSBAND_HI = 200.0 * np.pi
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,20 @@ def passband_stats(samples, n=None, points=20001):
 
     The log-spaced sample grid under-resolves the passband oscillation,
     so the statistic re-evaluates the same variant on a dense linear
-    grid. Returns (mean, ripple_db, relative deviation from 4n+2);
-    ripple_db is inf when F touches 0 on that grid (cpmg2 does).
+    grid. Returns (mean, ripple_db, relative deviation from 4n+2).
+
+    ripple_db is inf when F touches 0 on that grid, that is when its
+    minimum is at or below the evaluator's rounding floor 4 (eps (n + 1)
+    (u + 1))^2 at u = 200*pi, n the samples' pulse count. F = |sum_k c_k e^(iu t_k)|^2 with
+    sum_k |c_k| = 2(n + 1) (finite width too), and each phasor carries
+    the argument's rounding eps u t_k <= eps u plus a few eps of its own,
+    so where F vanishes the computed sum is at most 2 eps (n + 1)(u + 1).
+    cpmg2 and cpmg4 touch 0 at multiples of 8*pi and 16*pi.
     """
     if n is None:
         n = samples.n
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points!r}")
     if samples.u_grid[-1] < PASSBAND_HI:
         raise InsufficientSpan(
             f"grid ends at {samples.u_grid[-1]:g}, below {PASSBAND_HI:g}"
@@ -195,7 +205,8 @@ def passband_stats(samples, n=None, points=20001):
     vals = samples.evaluate(uu)
     mean = float(np.trapezoid(vals, uu) / (PASSBAND_HI - PASSBAND_LO))
     lowest = vals.min()
-    ripple_db = float(10.0 * np.log10(vals.max() / lowest)) if lowest > 0 else math.inf
+    floor = 4.0 * (_EPS * (samples.n + 1) * (PASSBAND_HI + 1.0)) ** 2
+    ripple_db = float(10.0 * np.log10(vals.max() / lowest)) if lowest > floor else math.inf
     target = 4.0 * n + 2.0
     return PassbandStats(mean, ripple_db, abs(mean - target) / target)
 
@@ -226,6 +237,10 @@ def bandpass_profile(seq, tau, omega_grid):
     flag="plateau" instead of a peak.
     """
     om = np.asarray(omega_grid, dtype=float)
+    if not np.all(np.isfinite(om)):
+        raise ValueError("omega_grid must be finite")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     if om.size < 5:
         raise NoPeak("need at least 5 grid points")
     vals = modified_filter_value(seq, om, tau)

@@ -20,6 +20,7 @@ fallback (pairwise rounding bound too large, or a spectrum without a
 structure function) and the final result build a sequence.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -167,7 +168,10 @@ def _area_objective(u_max, resolution=8):
     filter.
     """
     u_max = _positive(u_max, "u_max")
-    edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / resolution)
+
+    @functools.cache
+    def edges():    # u_max / (2 pi / resolution) panels, built on the first fallback
+        return build_edges(0.0, u_max, max_panel=2.0 * np.pi / resolution)
 
     def f(deltas):
         d = np.asarray(deltas, dtype=float)
@@ -179,7 +183,7 @@ def _area_objective(u_max, resolution=8):
         if bound <= 0.1 * _AREA_QUAD.rel_tol * value:
             return value
         seq = make_custom(d)
-        value, _err, _np_ = integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD,
+        value, _err, _np_ = integrate(lambda u: filter_value(seq, u), edges(), _AREA_QUAD,
                                       raise_on_fail=False)
         return value
     return f

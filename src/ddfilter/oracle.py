@@ -223,6 +223,22 @@ def grammian_chi(seq, spec, tau, n_steps, cfg=None):
     return KAPPA * sv.amplitude ** 2 * sv.dt ** 2 * quad
 
 
+# PCG64.jumped(i) advances the state by i times this many steps
+_PCG64_JUMP = 210306068529402873165736369884012333109
+
+
+def _substream_phases(seed, count, size):
+    """uniform(0, 2 pi, size) from Generator(PCG64(seed).jumped(i)) for
+    i < count, drawn by one generator whose state is reset and advanced
+    i jumps each time instead of a new generator per i."""
+    bits = np.random.PCG64(int(seed))
+    rng, start = np.random.Generator(bits), bits.state
+    for i in range(count):
+        bits.state = start
+        bits.advance(i * _PCG64_JUMP)
+        yield rng.uniform(0.0, 2.0 * np.pi, size)
+
+
 def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed, n_modes=None):
     """W via synthesized Gaussian noise: mean of cos(2*sqrt(2)*phase).
 
@@ -251,11 +267,8 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed, n_modes=None):
              * _grid_transform(sv.values, om, sv.dt))
     re, im = amps * y_hat.real, amps * y_hat.imag
 
-    root = np.random.PCG64(int(seed))
     cos_vals = np.empty(int(n_realizations))
-    for i in range(int(n_realizations)):
-        rng = np.random.Generator(root.jumped(i))
-        theta = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    for i, theta in enumerate(_substream_phases(seed, cos_vals.size, n_modes)):
         phi = float(np.cos(theta) @ re - np.sin(theta) @ im)
         cos_vals[i] = np.cos(MC_PHASE * phi)
     w = float(cos_vals.mean())

@@ -255,6 +255,7 @@ def test_subprocess_entry_points(tmp_path):
     (("oracle", "--seq", "udd:4", "--spectrum", "{ohmic}", "--tau", "1",
       "--rescale-time", "inf"), "ValueError"),
     (("optimize", "ofdd", "--n", "2", "--u-max", "inf"), "ValueError"),
+    (("filter", "--seq", "udd:4", "--u-max", "inf"), "ValueError"),
 ])
 def test_bad_input_is_one_line_json_error(tmp_path, capsys, ohmic_file, argv, error):
     malformed = tmp_path / "malformed.json"

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddfilter import (
@@ -73,9 +73,12 @@ def test_scalar_and_array_round_trip():
 
 def test_rejects_negative_u_and_nonzero_width():
     seq = make_canonical("cpmg", 2)
-    with pytest.raises(ValueError):
-        filter_value(seq, -1.0)
     wide = make_custom(seq.deltas, width_ratio=0.01)
+    for u in (-1.0, np.nan, np.inf, [1.0, np.nan], [2.0, np.inf]):
+        with pytest.raises(ValueError):
+            filter_value(seq, u)
+        with pytest.raises(ValueError):
+            filter_value_finite(wide, u)
     with pytest.raises(ValueError):
         filter_value(wide, 1.0)
 
@@ -131,6 +134,9 @@ def test_sample_filter_grid_and_variants():
 
     sq = sample_filter(seq, 0.5, 2.0, 50, variant="quantized", precision=1e-7)
     assert sq.variant == "quantized:1e-07"
+    # sample sets on the same grid share one read-only array
+    other = sample_filter(make_canonical("cpmg", 3), 1e-3, 1e3, 50)
+    assert other.u_grid is s.u_grid and not s.u_grid.flags.writeable
 
 
 @pytest.mark.parametrize("variant", ["ideal", "finite", "quantized"])
@@ -146,6 +152,10 @@ def test_sample_filter_rejects_bad_range():
         sample_filter(seq, 1.0, 0.5, 50)
     with pytest.raises(ValueError):
         sample_filter(seq, 0.0, 10.0, 50)
+    for u_min, u_max, ppd in [(1e-3, np.inf, 50), (np.nan, 1e3, 50), (1e-3, np.nan, 50),
+                              (-np.inf, 1e3, 50), (1e-3, 1e3, np.inf), (1e-3, 1e3, np.nan)]:
+        with pytest.raises(ValueError):
+            sample_filter(seq, u_min, u_max, ppd)
 
 
 def _filter_mp(seq, u, mpmath):
@@ -195,6 +205,18 @@ def test_stop_band_filter_fid_is_direct():
     assert np.array_equal(filt(u), filter_value(make_canonical("fid"), u))
 
 
+def _family(family, n, seed, width):
+    """A sequence of the family (custom: n sorted uniform draws), with pulses
+    of width * its minimum gap when width is nonzero and it has pulses."""
+    if family == "fid":
+        return make_canonical("fid")
+    if family == "custom":
+        seq = make_custom(np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n)))
+    else:
+        seq = make_canonical(family, n)
+    return make_custom(seq.deltas, width_ratio=width * min_gap(seq)) if width else seq
+
+
 def _panels(lo, hi, count, halve):
     """Panel node array as quadrature.integrate builds it: count equal
     panels over [lo, hi], then the panels picked by halve split in two."""
@@ -219,15 +241,7 @@ def test_panel_evaluator_matches_node_by_node(family, n, seed, width, top, start
     with u the panel's upper end: the arguments carry eps u, the panel
     evaluator moves a node by at most 64 eps u, and |dz/du| <= n + 1.
     So |F_panel - F_node| <= 4 Delta (F^(1/2) + Delta)."""
-    if family == "fid":
-        seq = make_canonical("fid")
-    elif family == "custom":
-        rng = np.random.default_rng(seed)
-        seq = make_custom(np.sort(rng.uniform(0.0, 1.0, n)))
-    else:
-        seq = make_canonical(family, n)
-    if width and seq.n:
-        seq = make_custom(seq.deltas, width_ratio=width * min_gap(seq))
+    seq = _family(family, n, seed, width)
     u_max = top * 4.0 * np.pi * (seq.n + 1)
     u = _panels(start * u_max, u_max, count, halve)
     calls = []
@@ -255,3 +269,52 @@ def test_panel_evaluator_takes_any_array_node_by_node():
     assert np.array_equal(filter_value_finite(seq, u, nodes=NODES)[[3, 7]],
                           filter_value_finite(seq, u[[3, 7]]))
 
+
+def _node_filter(seq, u):
+    """F node by node at the points of a 1-D u: a 2-D array is never folded."""
+    return filter_value_finite(seq, u[:, None])[:, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["fid", "cpmg", "pdd", "udd", "custom"]),
+       n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       width=st.sampled_from([0.0, 0.01, 0.5]), lo=st.floats(0.0, 500.0),
+       span=st.floats(1e-3, 2000.0), size=st.integers(16, 5000))
+@example(family="udd", n=20, seed=0, width=0.0, lo=100.0 * np.pi, span=100.0 * np.pi,
+         size=20001)    # the passband grid: 141 rows of 142, 21 points padded
+def test_uniform_grid_folds_into_panels(family, n, seed, width, lo, span, size):
+    """A linspace grid takes the panel evaluator (folded into rows of
+    ceil(sqrt(N)) points, the last one padded) and agrees with the node
+    path to the panel bound: z = F^(1/2)/2 within Delta = 128 eps (n + 1)
+    (u + 1) at the grid's top u, since the fold moves a point by at most
+    64 eps u and |dz/du| <= n + 1. So |F_fold - F_node| <= 4 Delta
+    (F^(1/2) + Delta)."""
+    seq = _family(family, n, seed, width)
+    u = np.linspace(lo, lo + span, size)
+    folds = filters._fold(u, seq.n + 1) is not None
+    assert folds == (size * (seq.n + 1) >= filters._FOLD_MIN)
+    with mock.patch.object(filters, "_panel_z", wraps=filters._panel_z) as panel_z:
+        fold = filter_value_finite(seq, u)
+    assert panel_z.call_count == (folds and seq.n > 0)
+    node = _node_filter(seq, u)
+    assert fold.shape == node.shape == u.shape
+    delta = 128.0 * np.finfo(float).eps * (seq.n + 1) * (u[-1] + 1.0)
+    assert np.all(np.abs(fold - node) <= 4.0 * delta * (np.sqrt(node) + delta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["cpmg", "pdd", "udd", "custom"]),
+       n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       width=st.sampled_from([0.0, 0.01]), size=st.integers(filters._FOLD_MIN, 8000),
+       where=st.floats(0.0, 1.0), shift=st.floats(1e-9, 0.4))
+def test_non_uniform_grids_take_the_node_path(family, n, seed, width, size, where, shift):
+    """A reversed grid, or one with a point moved by more than the fold's
+    64 eps u, is evaluated node by node: bit for bit the node path."""
+    seq = _family(family, n, seed, width)
+    u = np.linspace(300.0, 600.0, size)
+    moved = u.copy()
+    moved[round(where * (size - 1))] += shift * (u[1] - u[0])
+    assert filters._fold(u, seq.n + 1) is not None
+    for grid in (u[::-1], moved):
+        assert filters._fold(grid, seq.n + 1) is None
+        assert np.array_equal(filter_value_finite(seq, grid), _node_filter(seq, grid))

@@ -1,8 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddfilter import (
     InsufficientSpan,
@@ -13,12 +16,13 @@ from ddfilter import (
     filter_ratio,
     make_canonical,
     make_custom,
+    min_gap,
     omega_f1,
     passband_stats,
     rolloff,
     sample_filter,
 )
-from ddfilter import metrics
+from ddfilter import filters, metrics
 
 
 def _samples(fam, n=None, lo=1e-3, hi=1e3, ppd=50, **kw):
@@ -102,6 +106,60 @@ def test_passband_ripple_infinite_without_warning():
         warnings.simplefilter("error")
         m = filter_metrics(_samples("cpmg", 2, ppd=40))
     assert m.passband_ripple_db == math.inf
+
+
+@pytest.mark.parametrize("fam, n", [("cpmg", 2), ("cpmg", 4)])
+def test_passband_ripple_inf_at_the_rounding_floor(fam, n):
+    """cpmg2 and cpmg4 vanish at multiples of 8*pi and 16*pi: F there is
+    rounding noise (0.0 to 7.5e-35 by evaluator), under the floor
+    4 (eps (n + 1)(u + 1))^2 whichever evaluator runs."""
+    s = _samples(fam, n, ppd=40)
+    floor = 4.0 * (np.finfo(float).eps * (n + 1) * (metrics.PASSBAND_HI + 1.0)) ** 2
+    for fold in (filters._fold, lambda u, segments: None):
+        with mock.patch.object(filters, "_fold", fold):
+            assert s.evaluate(np.linspace(metrics.PASSBAND_LO, metrics.PASSBAND_HI,
+                                          20001)).min() <= floor
+            assert passband_stats(s).ripple_db == math.inf
+
+
+def test_passband_ripple_finite_above_the_floor():
+    """udd minima in the passband are resolved values, far above the floor."""
+    for n in (3, 7, 11):
+        ripple = passband_stats(_samples("udd", n)).ripple_db
+        assert 0.0 < ripple < 100.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(fam=st.sampled_from(["fid", "udd", "cpmg", "pdd"]), n=st.integers(1, 12),
+       width=st.sampled_from([0.0, 0.01, 0.3]))
+def test_passband_mean_folded_matches_node_path(fam, n, width):
+    """The folded linear grid gives the node evaluator's passband mean to
+    1e-12 (the filter_metrics families of the benchmark, finite width too)."""
+    seq = make_canonical(fam) if fam == "fid" else make_canonical(fam, n)
+    if width and seq.n:
+        seq = make_custom(seq.deltas, width_ratio=width * min_gap(seq))
+    s = sample_filter(seq, 1e-3, 1e3, 20, variant="finite" if width else "ideal")
+    folded = passband_stats(s)
+    with mock.patch.object(filters, "_fold", return_value=None):
+        node = passband_stats(s)
+    assert folded.mean == pytest.approx(node.mean, rel=1e-12)
+
+
+def test_passband_stats_needs_two_points():
+    s = _samples("udd", 4)
+    with pytest.raises(ValueError):
+        passband_stats(s, points=1)
+    assert passband_stats(s, points=2).mean > 0
+
+
+@pytest.mark.parametrize("tau, grid", [
+    (np.nan, np.linspace(0.1, 30.0, 200)), (np.inf, np.linspace(0.1, 30.0, 200)),
+    (0.0, np.linspace(0.1, 30.0, 200)), (-1.0, np.linspace(0.1, 30.0, 200)),
+    (1.0, np.r_[np.linspace(0.1, 30.0, 200), np.nan]),
+    (1.0, np.r_[np.linspace(0.1, 30.0, 200), np.inf])])
+def test_bandpass_profile_rejects_non_finite_input(tau, grid):
+    with pytest.raises(ValueError):
+        bandpass_profile(make_canonical("cpmg", 4), tau, grid)
 
 
 def test_passband_insufficient_span():

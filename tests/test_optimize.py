@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -197,6 +198,28 @@ def test_filter_area_is_the_ideal_filter_area():
     assert filter_area(make_canonical("fid"), 5.0) == 2.979462137331569
     assert filter_area(make_canonical("fid"), 5.0) == pytest.approx(
         2.5 - 0.5 * math.sin(5.0), rel=1e-15)
+
+
+def test_filter_area_builds_panel_edges_only_for_the_fallback():
+    """The pairwise sum answers at u_max = 1e6 without the 1.3e6 quadrature
+    panels (20 MB when they were built up front); a tiny area, where the
+    sum's rounding bound is too large, builds them once per objective."""
+    seq = make_canonical("udd", 4)
+    filter_area(seq, 10.0)      # first-call caches out of the measurement
+    tracemalloc.start()
+    try:
+        value = filter_area(seq, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert value == pytest.approx(18e6, rel=1e-5)
+    with mock.patch("ddfilter.optimize.build_edges", wraps=build_edges) as edges:
+        f = _area_objective(0.5)
+        assert edges.call_count == 0
+        small = [f(seq.deltas) for _ in range(2)]
+    assert edges.call_count == 1
+    assert small[0] == small[1] == pytest.approx(1.1707408821e-12, rel=1e-9)
 
 
 def test_filter_area_positive_and_increasing():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,6 +170,28 @@ def test_monte_carlo_deterministic_and_stderr_scaling():
     assert a.w == b.w and a.stderr == b.stderr
     big = monte_carlo_w(make_canonical("cpmg", 4), OHMIC, TAU, 2000, 1024, seed=7)
     assert big.stderr < 0.65 * a.stderr  # ~1/2 expected for 4x the sample
+
+
+def _jumped_phases(seed, count, size):
+    """The reference substreams: a new Generator(PCG64(seed).jumped(i)) per i."""
+    root = np.random.PCG64(int(seed))
+    for i in range(count):
+        yield np.random.Generator(root.jumped(i)).uniform(0.0, 2.0 * np.pi, size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7, 12345])
+def test_monte_carlo_phases_are_the_jumped_substreams(seed):
+    """One generator advanced i jumps draws what PCG64(seed).jumped(i) does."""
+    root = np.random.PCG64(seed)
+    pick = {0, 1, 2, 17, 500, 4096, 9999}
+    for i, theta in enumerate(oracle._substream_phases(seed, 10000, 8)):
+        if i in pick:
+            want = np.random.Generator(root.jumped(i)).uniform(0.0, 2.0 * np.pi, 8)
+            assert np.array_equal(theta, want)
+    assert i == 9999
+    with mock.patch.object(oracle, "_substream_phases", _jumped_phases):
+        want = monte_carlo_w(make_canonical("cpmg", 4), OHMIC, TAU, 300, 1024, seed)
+    assert monte_carlo_w(make_canonical("cpmg", 4), OHMIC, TAU, 300, 1024, seed) == want
 
 
 def test_monte_carlo_quasi_static_echo():
