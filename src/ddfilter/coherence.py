@@ -33,6 +33,17 @@ On both quadrature routes the chi weight the support drops, times max F,
 is added to the error, and the support is widened until it is within a
 tenth of the tolerance (only the supra-ohmic spectrum has such a tail).
 
+The routes are evaluated over a tau grid; chi at one tau is the grid of
+one. coherence_curve groups the taus by sequence, and the pairwise route
+takes each group's taus in one structure-function call on a taus x pairs
+block (pair_plan.sums broadcasts the lags against a column of taus). Every
+tau left for quadrature, of any sequence and either filter, is then
+integrated together by quadrature.integrate_batch: one integrand call per
+refinement round (in calls of at most 2^16 nodes), each tau keeping its
+own error budget, halving rule and support widening. The full panels of
+every tau are 2 pi / oscillation_resolution wide in u = omega tau, so the
+panel evaluator builds one node table for the whole grid.
+
 All exponent conventions are anchored to the analytic white-noise FID
 result chi = S0*tau/2, which fixes the oracle calibration constants as
 well.
@@ -47,7 +58,7 @@ import numpy as np
 from .errors import CurveFailure, ToleranceNotMet
 from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
                       filter_value_finite, pair_plan)
-from .quadrature import NODES, QuadratureConfig, build_edges, integrate
+from .quadrature import NODES, QuadratureConfig, build_edges, integrate_batch
 from .sequences import make_custom
 from .spectra import effective_support
 
@@ -78,22 +89,39 @@ def _chi(deltas, width_ratio, spec, tau, cfg, full_output=False, seq=None):
     PulseSequence is built, when seq is None, only for quadrature."""
     series = False
     if spec.structure_function is not None:
-        plan = pair_plan(len(deltas), width_ratio)
-        total, magnitude = plan.sums(deltas, lambda lag: spec.structure_function(tau * lag))
-        value = -2.0 * total + 0.0
-        bound = 2.0 * PAIR_ROUNDING * magnitude
-        if bound <= 0.1 * cfg.rel_tol * value:
+        value, bound, done, series = _pairwise(pair_plan(len(deltas), width_ratio), deltas,
+                                               spec, tau, cfg)
+        if done:
             if full_output:
                 return value, {"path": "pairwise", "error_estimate": bound}
             return value
-        series = bool(bound >= abs(value))
     if seq is None:
         seq = make_custom(deltas, width_ratio)
     return _chi_quadrature(seq, spec, tau, cfg, full_output, series)
 
 
+def _pairwise(plan, deltas, spec, tau, cfg):
+    """(chi, rounding bound B, whether the pairwise value meets the tolerance,
+    whether quadrature should take the stop-band series) at a scalar tau, or
+    arrays of the four at a column of taus (one structure-function call on
+    the taus x pairs block)."""
+    total, magnitude = plan.sums(deltas, lambda lag: spec.structure_function(tau * lag))
+    value, bound = -2.0 * total + 0.0, 2.0 * PAIR_ROUNDING * magnitude
+    return value, bound, bound <= 0.1 * cfg.rel_tol * value, bound >= abs(value)
+
+
 def _chi_quadrature(seq, spec, tau, cfg=None, full_output=False, series=False):
-    """chi by adaptive quadrature over the spectrum's effective support.
+    """chi by adaptive quadrature over the spectrum's effective support:
+    _quadrature on one job. Raises its ToleranceNotMet."""
+    (out,) = _quadrature([(seq, tau, series)], spec, cfg or QuadratureConfig())
+    if isinstance(out, ToleranceNotMet):
+        raise out
+    return out if full_output else out[0]
+
+
+def _quadrature(jobs, spec, cfg):
+    """chi by quadrature for each (seq, tau, series) job, all integrated
+    together: per job (chi, full_output dict) or the ToleranceNotMet to raise.
 
     With series=True F comes from StopBandFilter. On either route the
     support's truncation enters the error: the chi weight of the spectrum
@@ -101,61 +129,85 @@ def _chi_quadrature(seq, spec, tau, cfg=None, full_output=False, series=False):
     support is widened until that is at most 0.1 * cfg.rel_tol * chi. A
     quadrature that gives up is retried on the wider support when the tail
     it dropped could outweigh its best value (a support that ends in the
-    stop band leaves F below the rounding floor).
+    stop band leaves F below the rounding floor). Jobs that widen are
+    integrated together again.
     """
-    cfg = cfg or QuadratureConfig()
-    epsilon = min(cfg.rel_tol / 10.0, 0.1)
+    out = [None] * len(jobs)
+    epsilon = [min(cfg.rel_tol / 10.0, 0.1)] * len(jobs)
+    todo = list(range(len(jobs)))
     for widening in range(_WIDENINGS + 1):
-        try:
-            result, err, info = _integrate_chi(seq, spec, tau, cfg, epsilon, series)
-            failed = False
-        except ToleranceNotMet as exc:
-            result, err, failed = exc.value, exc.achieved, True
-        dropped = spec.tail_weight(epsilon)
-        if dropped:
-            dropped *= float(np.abs(_switching_times(seq)[2]).sum()) ** 2   # max F
-        if dropped == 0.0 or dropped <= 0.1 * cfg.rel_tol * result or widening == _WIDENINGS:
+        runs = _integrate_chi([jobs[i] for i in todo], [epsilon[i] for i in todo], spec, cfg)
+        again = []
+        for i, (result, err, failed, info) in zip(todo, runs):
+            dropped = spec.tail_weight(epsilon[i])
+            if dropped:
+                dropped *= float(np.abs(_switching_times(jobs[i][0])[2]).sum()) ** 2   # max F
+            if not (dropped == 0.0 or dropped <= 0.1 * cfg.rel_tol * result
+                    or widening == _WIDENINGS):
+                epsilon[i] *= 0.05 * cfg.rel_tol * result / dropped
+                if epsilon[i] >= _MIN_EPSILON:
+                    again.append(i)
+                    continue
+            if failed or dropped > 0.1 * cfg.rel_tol * result:
+                out[i] = _tolerance_not_met(result, err + dropped)
+            else:
+                out[i] = (result, {"path": "quadrature", "error_estimate": err + dropped, **info})
+        todo = again
+        if not todo:
             break
-        epsilon *= 0.05 * cfg.rel_tol * result / dropped
-        if not epsilon >= _MIN_EPSILON:
-            break
-    if failed or dropped > 0.1 * cfg.rel_tol * result:
-        raise _tolerance_not_met(result, err + dropped)
-    err += dropped
-    if full_output:
-        return result, {"path": "quadrature", "error_estimate": err, **info}
-    return result
+    return out
 
 
 _WIDENINGS = 3           # support widenings allowed per chi
 _MIN_EPSILON = 1e-300    # smallest support tail share asked of a spectrum
 
 
-def _integrate_chi(seq, spec, tau, cfg, epsilon, series):
-    """(chi, error, info) from quadrature on effective_support(spec, epsilon).
-    Panels are sized to resolve the filter's passband oscillation (period
-    2*pi in u = omega*tau)."""
-    lo, hi = effective_support(spec, epsilon)
-    if series:
-        filt = StopBandFilter(seq, hi * tau)
-        info = {"filter": "series", "series_degree": filt.degree,
-                "crossover_u": filt.crossover}
-    else:
-        filt = functools.partial(filter_value_finite, seq)
-        info = {"filter": "direct"}
+def _integrate_chi(jobs, epsilons, spec, cfg):
+    """(chi, error, failed, info) per (seq, tau, series) job, from quadrature
+    on effective_support(spec, epsilon). Every job's full panels are
+    2 pi / cfg.oscillation_resolution wide in u = omega * tau (the filter's
+    passband period over the resolution), so one node table serves them
+    all."""
+    filters, which, infos, edge_sets = [], [], [], []
+    direct = {}         # id(seq) -> index of its direct filter
+    for (seq, tau, series), epsilon in zip(jobs, epsilons):
+        lo, hi = effective_support(spec, epsilon)
+        if series:
+            filt = StopBandFilter(seq, hi * tau)
+            which.append(len(filters))
+            filters.append(filt)
+            info = {"filter": "series", "series_degree": filt.degree,
+                    "crossover_u": filt.crossover}
+        else:
+            if id(seq) not in direct:
+                direct[id(seq)] = len(filters)
+                filters.append(functools.partial(filter_value_finite, seq))
+            which.append(direct[id(seq)])
+            info = {"filter": "direct"}
+        info["support"] = (lo, hi)
+        infos.append(info)
+        edge_sets.append(build_edges(lo, hi, breakpoints=spec.breakpoints(),
+                                     max_panel=2.0 * np.pi / (tau * cfg.oscillation_resolution)))
+    taus, which = np.array([job[1] for job in jobs]), np.array(which)
 
-    def integrand(om):
-        return spec.evaluate(om) * filt(om * tau, nodes=NODES) / om ** 2
+    def integrand(om, owner):
+        u = om * taus[owner, None]
+        if len(filters) == 1:
+            f = filters[0](u, nodes=NODES)
+        else:
+            f, rows_of = np.empty(u.shape), which[owner]
+            for k in np.unique(rows_of):
+                rows = rows_of == k
+                f[rows] = filters[k](u[rows], nodes=NODES)
+        return spec.evaluate(om) * f / om ** 2
 
-    max_panel = 2.0 * np.pi / (tau * cfg.oscillation_resolution)
-    edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=max_panel)
-    try:
-        value, err, panels = integrate(integrand, edges, cfg)
-    except ToleranceNotMet as exc:
-        raise _tolerance_not_met((2.0 / np.pi) * exc.value,
-                                 (2.0 / np.pi) * exc.achieved) from None
-    info.update(panels=panels, support=(lo, hi))
-    return (2.0 / np.pi) * value, (2.0 / np.pi) * err, info
+    values, errors, panels = (a.tolist() for a in integrate_batch(integrand, edge_sets, cfg))
+    out = []
+    for value, err, n_panels, info in zip(values, errors, panels, infos):
+        info["panels"] = n_panels
+        out.append(((2.0 / np.pi) * value, (2.0 / np.pi) * err,
+                    bool(err > max(cfg.rel_tol * abs(value), cfg.abs_tol)), info))
+    return out
 
 
 def _tolerance_not_met(value, achieved):
@@ -174,24 +226,41 @@ def white_fid_chi(level, tau):
     return 0.5 * level * tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoherenceCurve:
     """Per-tau chi and W for a sequence source against one spectrum."""
 
     tau_grid: np.ndarray
     chi_values: np.ndarray
-    w_values: np.ndarray
-    labels: tuple            # per-tau "family:n" descriptor
+    labels: tuple            # per-tau "family:n", one string per distinct sequence
     pulse_counts: tuple
-    diagnostics: tuple = field(default=())   # per-tau chi full_output dicts
+    # chi's full_output fields as per-tau columns: a NumPy array per numeric
+    # field ("error_estimate", "panels" and "series_degree" as int32,
+    # "support" as taus x 2, "crossover_u"), a tuple per string field
+    # ("path", "filter"). A column is present when some tau's route has the
+    # field; taus whose route has not are filled with "" (strings), 0
+    # ("panels", "series_degree") or NaN ("support", "crossover_u").
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def w_values(self):
+        """W = exp(-chi) per tau, computed on access (not stored)."""
+        return np.exp(-self.chi_values)
+
+
+_FILL = {"filter": "", "panels": 0, "series_degree": 0, "support": (math.nan, math.nan),
+         "crossover_u": math.nan}
 
 
 def coherence_curve(source, spec, tau_grid, cfg=None):
-    """Evaluate chi and W over a tau grid.
+    """Evaluate chi and W over a tau grid, each tau as chi would.
 
     source is either a fixed PulseSequence or a callable tau -> sequence
-    (family at fixed n, or an optimizer output per tau). Per-point
-    failures are aggregated into a single CurveFailure carrying
+    (family at fixed n, or an optimizer output per tau). The taus of each
+    distinct sequence take the pairwise route in one structure-function
+    call, and every tau left for quadrature, of any sequence, is
+    integrated in one batch. A batch that raises is retried tau by tau.
+    Per-point failures are aggregated into a single CurveFailure carrying
     (index, exception) pairs; its message names the first failure's
     exception and, for ToleranceNotMet, its best value and achieved error.
     """
@@ -199,30 +268,85 @@ def coherence_curve(source, spec, tau_grid, cfg=None):
     if (taus.size == 0 or not np.all(np.isfinite(taus)) or np.any(taus <= 0)
             or np.any(np.diff(taus) <= 0)):
         raise ValueError("tau_grid must be finite, positive and strictly increasing")
+    cfg = cfg or QuadratureConfig()
     pick = source if callable(source) else (lambda _t: source)
 
-    results = []
-    failures = []
+    groups, failures = {}, {}     # sequence key -> (seq, label, indices); index -> exception
     for i, tau in enumerate(taus):
         try:
             seq = pick(tau)
-            c, diag = chi(seq, spec, tau, cfg, full_output=True)
-            results.append((c, float(np.exp(-c)), f"{seq.label}:{seq.n}", seq.n, diag))
+            key = (seq.label, seq.width_ratio, seq.deltas)
         except Exception as exc:  # aggregated below
-            failures.append((i, exc))
+            failures[i] = exc
+            continue
+        groups.setdefault(key, (seq, f"{seq.label}:{seq.n}", []))[2].append(i)
+
+    results, jobs, job_index = {}, [], []
+    for seq, _label, idx in groups.values():
+        try:
+            routes = _pairwise_routes(seq, spec, taus[idx], cfg)
+        except Exception:  # each tau reports its own failure
+            routes = [_attempt(lambda i=i: _chi(seq.deltas, seq.width_ratio, spec, taus[i],
+                                                 cfg, True, seq)) for i in idx]
+        for i, route in zip(idx, routes):
+            if isinstance(route, (tuple, Exception)):
+                (failures if isinstance(route, Exception) else results)[i] = route
+            else:
+                jobs.append((seq, taus[i], route))
+                job_index.append(i)
+    if jobs:
+        try:
+            outs = _quadrature(jobs, spec, cfg)
+        except Exception:  # each job reports its own failure
+            outs = [_attempt(lambda job=job: _quadrature([job], spec, cfg)[0]) for job in jobs]
+        for i, out in zip(job_index, outs):
+            (failures if isinstance(out, Exception) else results)[i] = out
+
     if failures:
-        idx = [i for i, _ in failures]
-        first = failures[0][1]
+        idx = sorted(failures)
+        first = failures[idx[0]]
         cause = f"{type(first).__name__}: {first}"
         if isinstance(first, ToleranceNotMet):
             cause += f" (value {first.value:.6e}, achieved {first.achieved:.3e})"
         raise CurveFailure(f"curve evaluation failed at indices {idx}; first at "
-                           f"tau={taus[idx[0]]:.6g}: {cause}", failures)
-    return CoherenceCurve(
-        tau_grid=taus,
-        chi_values=np.array([r[0] for r in results]),
-        w_values=np.array([r[1] for r in results]),
-        labels=tuple(r[2] for r in results),
-        pulse_counts=tuple(r[3] for r in results),
-        diagnostics=tuple(r[4] for r in results),
-    )
+                           f"tau={taus[idx[0]]:.6g}: {cause}", [(i, failures[i]) for i in idx])
+    chi_values = np.array([results[i][0] for i in range(taus.size)])
+    labels, counts = [None] * taus.size, [None] * taus.size
+    for seq, label, idx in groups.values():
+        for i in idx:
+            labels[i], counts[i] = label, seq.n
+    infos = [results[i][1] for i in range(taus.size)]
+    keys = dict.fromkeys(k for info in infos for k in info)
+    columns = {}
+    for k in keys:
+        column = [info.get(k, _FILL.get(k)) for info in infos]
+        if isinstance(column[0], str):
+            columns[k] = tuple(column)
+        else:
+            columns[k] = np.array(column, dtype=np.int32 if isinstance(column[0], int) else float)
+    return CoherenceCurve(tau_grid=taus, chi_values=chi_values, labels=tuple(labels),
+                          pulse_counts=tuple(counts), diagnostics=columns)
+
+
+def _pairwise_routes(seq, spec, taus, cfg):
+    """Per tau, (chi, full_output) where the pairwise route meets the
+    tolerance, else whether quadrature should take the stop-band series.
+    Taus go through the plan in chunks whose taus x pairs block stays
+    within the plan's block size."""
+    if spec.structure_function is None:
+        return [False] * taus.size
+    plan = pair_plan(seq.n, seq.width_ratio)
+    step = plan.taus_per_sum
+    parts = [_pairwise(plan, seq.deltas, spec, taus[i:i + step, None], cfg)
+             for i in range(0, taus.size, step)]
+    value, bound, done, series = (np.concatenate(p).tolist() for p in zip(*parts))
+    return [(v, {"path": "pairwise", "error_estimate": b}) if d else s
+            for v, b, d, s in zip(value, bound, done, series)]
+
+
+def _attempt(compute):
+    """compute(), or the exception it raised (aggregated by the caller)."""
+    try:
+        return compute()
+    except Exception as exc:
+        return exc

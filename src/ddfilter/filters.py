@@ -94,13 +94,16 @@ def _switching_times(seq):
 class _PairPlan:
     """The pairs of n pulses at one width ratio, row-major j < k in blocks of
     about _PAIR_BLOCK: slots of t_j and t_k, c_j c_k and o_k - o_j. Up to
-    _PLAN_PAIRS pairs the blocks are kept, above they are rebuilt per sum."""
+    _PLAN_PAIRS pairs the blocks are kept, above they are rebuilt per sum.
+    taus_per_sum is how many taus one sum may take in a column while its
+    taus x pairs block stays within about _PAIR_BLOCK."""
 
     def __init__(self, n, width_ratio):
         self.slots, self.offsets, self.c = _switching_layout(n, width_ratio)
         self.c.flags.writeable = False      # shared by every caller of the plan
         m = self.c.size
         self._rows = max(1, _PAIR_BLOCK // m)
+        self.taus_per_sum = max(1, _PAIR_BLOCK // min(m * (m - 1) // 2, self._rows * m))
         self._kept = tuple(self._build()) if m * (m - 1) // 2 <= _PLAN_PAIRS else None
 
     def _build(self):
@@ -114,14 +117,18 @@ class _PairPlan:
 
     def sums(self, deltas, kernel):
         """pair_sums' two sums at positions deltas, each term computed as
-        (c_j c_k) K((a_k - a_j) + (o_k - o_j))."""
+        (c_j c_k) K((a_k - a_j) + (o_k - o_j)). A kernel that broadcasts the
+        lags against a column of taus gives one pair of sums per tau (arrays);
+        otherwise they are floats."""
         p = np.empty(self.slots[-1] + 1)        # (0, deltas, 1)
         p[0], p[1:-1], p[-1] = 0.0, deltas, 1.0
         total = magnitude = 0.0
         for js, ks, cc, lag_o in self._build() if self._kept is None else self._kept:
             w = cc * kernel((p[ks] - p[js]) + lag_o)
-            total += w.sum()
-            magnitude += np.abs(w).sum()
+            total += np.add.reduce(w, -1)
+            magnitude += np.add.reduce(np.abs(w), -1)
+        if total.ndim:
+            return total, magnitude
         return float(total), float(magnitude)
 
 
@@ -179,11 +186,14 @@ def _node_z(deltas, u, r):
 def _panel_z(deltas, u, nodes, r):
     """z(u) on panels u[p, i] = mid_p + hw_p x_i, x = nodes, one x_i = 0.
 
-    Panels whose hw agree to 16 eps u share h, the smallest. Then sin(u g/2)
+    Panels whose hw agree to 16 eps u share h, that of the group's panel
+    nearest u = 0 (its hw carries the least rounding). Then sin(u g/2)
     = sin(mid g/2) cos(h x g/2) + cos(mid g/2) sin(h x g/2) and e^(iu m) =
     e^(i mid m) e^(i h x m) make z one product of panel and node tables, each
     term bounded by its own sine. Panels that h moves by over 64 eps u, or in
     groups under _SHARED_MIN panels x segments, go node by node."""
+    if u.shape[0] * (len(deltas) + 1) < _SHARED_MIN:
+        return _node_z(deltas, u, r)
     g, m, s = _segments(deltas)
     half = 0.5 * g
     z, done = np.empty(u.shape, dtype=complex), np.zeros(u.shape[0], dtype=bool)
@@ -197,8 +207,10 @@ def _panel_z(deltas, u, nodes, r):
         a, e = mp[:, None] * half, s * np.exp(1j * mp[:, None] * m)
         return np.concatenate([np.sin(a) * e, np.cos(a) * e], axis=1)
 
-    for rows in np.split(order, cut) if u.shape[0] * half.size >= _SHARED_MIN else ():
-        h = hw[rows[0]]
+    for rows in np.split(order, cut):
+        if rows.size * half.size < _SHARED_MIN:
+            continue
+        h = hw[rows[np.argmin(mid[rows])]]
         rows = rows[np.all(np.abs(mid[rows, None] + h * x - u[rows])
                            <= 64.0 * _EPS * (mid + hw)[rows, None], axis=1)]
         if rows.size * half.size < _SHARED_MIN:

@@ -11,8 +11,10 @@ from ddfilter import (
     PowerLaw,
     QuadratureConfig,
     SupraOhmicExp,
+    Tabulated,
     ToleranceNotMet,
     WhiteBand,
+    build_edges,
     canonical_deltas,
     chi,
     coherence_curve,
@@ -24,7 +26,8 @@ from ddfilter import (
     white_fid_chi,
 )
 from ddfilter.coherence import _chi_quadrature
-from ddfilter.filters import PAIR_ROUNDING, _switching_times, pair_sums
+from ddfilter.filters import PAIR_ROUNDING, _switching_times, filter_value_finite, pair_sums
+from ddfilter.quadrature import panel_nodes
 
 OHMIC = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)
 WHITE = WhiteBand(level=0.02, omega_hi=100.0)
@@ -150,6 +153,25 @@ def test_curve_failure_aggregates_indices():
     with pytest.raises(CurveFailure) as ei:
         coherence_curve(make_canonical("cpmg", 2), bad, taus)
     assert len(ei.value.failures) == 2
+
+
+class _SpectrumThatFails(PowerLaw):
+    """A power law (no structure function) whose evaluation raises."""
+
+    def evaluate(self, omega):
+        raise FloatingPointError("spectrum unavailable")
+
+
+def test_curve_failure_in_batched_quadrature_is_per_tau():
+    """When the batched quadrature raises, each tau is retried alone and
+    reports its own failure, as chi would."""
+    taus = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(CurveFailure) as ei:
+        coherence_curve(make_canonical("udd", 4), _SpectrumThatFails(0.1, 0.5, 0.0, 5.0), taus)
+    assert [i for i, _ in ei.value.failures] == [0, 1, 2]
+    assert len({id(exc) for _, exc in ei.value.failures}) == 3
+    assert str(ei.value) == ("curve evaluation failed at indices [0, 1, 2]; first at tau=1: "
+                             "FloatingPointError: spectrum unavailable")
 
 
 def test_curve_rejects_bad_grid():
@@ -382,3 +404,214 @@ def test_unbounded_powerlaw_counts_the_dropped_tail():
     except ToleranceNotMet:
         return
     assert abs(value - ref) <= max(info["error_estimate"], 1e-6 * ref)
+
+
+def test_curve_takes_every_route_tau_by_tau():
+    """A supra-ohmic udd12 curve from the deep stop band into the passband
+    takes the series route, the direct route on a widened support and the
+    pairwise sum; each tau gets what chi gives it alone, and the columns
+    hold the fill where a route has no such field."""
+    spec = SupraOhmicExp(1.14e-2, 3.0)
+    seq = make_canonical("udd", 12)
+    taus = np.geomspace(0.05, 5.0, 12)
+    curve = coherence_curve(seq, spec, taus)
+    d = curve.diagnostics
+    assert set(d["path"]) == {"pairwise", "quadrature"}
+    assert set(d["filter"]) == {"", "direct", "series"}
+    assert np.any(d["support"][:, 1] > spec.effective_support(1e-9)[1])     # widened
+    assert d["panels"].dtype == np.int32 and d["series_degree"].dtype == np.int32
+    for i, tau in enumerate(taus):
+        value, info = chi(seq, spec, tau, full_output=True)
+        assert abs(curve.chi_values[i] - value) <= max(1e-12 * value, info["error_estimate"])
+        assert d["path"][i] == info["path"]
+        assert d["error_estimate"][i] == pytest.approx(info["error_estimate"], rel=1e-6)
+        assert d["filter"][i] == info.get("filter", "")
+        assert d["panels"][i] == info.get("panels", 0)
+        assert d["series_degree"][i] == info.get("series_degree", 0)
+        if info["path"] == "quadrature":
+            assert tuple(d["support"][i]) == info["support"]
+        else:
+            assert np.isnan(d["support"][i]).all()
+        assert np.isnan(d["crossover_u"][i]) == ("crossover_u" not in info)
+    assert curve.labels == ("udd:12",) * 12 and curve.pulse_counts == (12,) * 12
+
+
+def test_curve_taus_past_the_batch_panel_cap_refine_as_chi(monkeypatch):
+    """FID under a p = 0.5 power law from omega = 0 refines every tau; with
+    the panel cap lowered to 32, the curve's taus start on 26 panels and
+    end on 61 together, while each alone stays within 32. Each tau still
+    gets chi's panels and value: the halvings the batch refuses are done
+    on that tau alone."""
+    monkeypatch.setattr("ddfilter.quadrature._MAX_PANELS", 32)
+    seq, spec = make_canonical("fid"), PowerLaw(0.1, 0.5, 0.0, 5.0)
+    taus = np.array([0.5, 1.0, 2.0, 4.0])
+    curve = coherence_curve(seq, spec, taus)
+    assert curve.diagnostics["panels"].sum() > 32
+    for i, tau in enumerate(taus):
+        value, info = chi(seq, spec, tau, full_output=True)
+        assert curve.diagnostics["panels"][i] == info["panels"] <= 32
+        assert abs(curve.chi_values[i] - value) <= max(1e-12 * value, info["error_estimate"])
+
+
+def test_curve_of_one_route_has_only_its_columns():
+    curve = coherence_curve(make_canonical("cpmg", 4), WHITE, np.geomspace(0.5, 5.0, 6))
+    assert set(curve.diagnostics) == {"path", "error_estimate"}
+    assert curve.diagnostics["path"] == ("pairwise",) * 6
+
+
+def test_curve_label_is_one_string_per_distinct_sequence():
+    """A callable source that builds equal sequences anew for every tau
+    still gets one label string, shared by those taus."""
+    taus = np.array([1.0, 2.0, 4.0, 8.0])
+    curve = coherence_curve(lambda tau: make_canonical("cpmg", 2 if tau < 3 else 8), WHITE, taus)
+    assert curve.labels == ("cpmg:2", "cpmg:2", "cpmg:8", "cpmg:8")
+    assert curve.labels[0] is curve.labels[1] and curve.labels[2] is curve.labels[3]
+
+
+def test_curve_retained_size():
+    """A 40-tau curve keeps chi, W's source, the labels and the diagnostic
+    columns in under 4 kB, for a pairwise curve and a quadrature curve
+    (per-tau dicts and label strings took about 13 kB)."""
+    taus = np.geomspace(0.5, 50.0, 40)
+    for seq, spec in ((make_canonical("cpmg", 4), OHMIC),
+                      (make_canonical("udd", 4), PowerLaw(0.1, 0.5, 0.01, 5.0))):
+        coherence_curve(seq, spec, taus)    # plans and caches
+        tracemalloc.start()
+        try:
+            kept = [coherence_curve(seq, spec, taus) for _ in range(20)]
+            held = tracemalloc.get_traced_memory()[0]
+            del kept
+            retained = (held - tracemalloc.get_traced_memory()[0]) / 20
+        finally:
+            tracemalloc.stop()
+        assert retained <= 4096, (spec, retained)
+
+
+class _NoStructureFunction(OhmicSharpCutoff):
+    """An ohmic spectrum whose structure function raises for every lag."""
+
+    def structure_function(self, t):
+        raise FloatingPointError("structure function unavailable")
+
+
+@st.composite
+def tabulated_spectra(draw):
+    omegas = sorted(draw(st.lists(st.floats(0.1, 20.0), min_size=2, max_size=6, unique=True)))
+    values = draw(st.lists(st.floats(0.01, 1.0), min_size=len(omegas), max_size=len(omegas)))
+    return Tabulated(tuple(omegas), tuple(values))
+
+
+ALL_SPECTRA = st.one_of(
+    SPECTRA,
+    st.builds(PowerLaw, st.floats(0.01, 1.0), st.floats(-0.9, 1.5), st.sampled_from([0.0, 0.05]),
+              st.floats(1.0, 20.0)),
+    tabulated_spectra(),
+    st.builds(_NoStructureFunction, st.floats(0.01, 1.0), st.floats(0.5, 20.0)),
+)
+
+
+@st.composite
+def small_sequences(draw):
+    family = draw(st.sampled_from(["cpmg", "pdd", "udd"]))
+    seq = make_canonical(family, draw(st.integers(1, 24)))
+    width = draw(st.sampled_from([0.0, 0.0, 0.3])) * min_gap(seq)
+    return make_custom(seq.deltas, width_ratio=width, label=family)
+
+
+def _rounding_floor(seq, spec, tau, support):
+    """How far two evaluations of a quadrature chi can differ by the rounding
+    of F alone, which its error estimate leaves out. The panel evaluator and
+    the node-by-node sum keep z to Delta = 128 eps (n + 1) u (see
+    test_filters), so |dF| <= 4 Delta (F^(1/2) + Delta); integrated against
+    (2/pi) S / omega^2 with GL21 on the support."""
+    edges = build_edges(*support, breakpoints=spec.breakpoints(),
+                        max_panel=2.0 * np.pi / (4.0 * tau))
+    om, weights = panel_nodes(edges, 21)
+    s = (2.0 / np.pi) * spec.evaluate(om) * weights
+    root_f = np.sqrt(filter_value_finite(seq, (om * tau)[:, None])[:, 0])
+    delta = 128.0 * np.finfo(float).eps * (seq.n + 1) * tau
+    return 4.0 * delta * (s @ (root_f / om)) + 4.0 * delta ** 2 * s.sum()
+
+
+def _curve_failure_message(taus, idx, first):
+    cause = f"{type(first).__name__}: {first}"
+    if isinstance(first, ToleranceNotMet):
+        cause += f" (value {first.value:.6e}, achieved {first.achieved:.3e})"
+    return f"curve evaluation failed at indices {idx}; first at tau={taus[idx[0]]:.6g}: {cause}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=ALL_SPECTRA, first=small_sequences(), second=small_sequences(),
+       callable_source=st.booleans(), log_depth=st.floats(-2.0, -0.3), points=st.integers(2, 8),
+       cfg=st.sampled_from([QuadratureConfig(), QuadratureConfig(max_subdivisions=4)]))
+def test_curve_matches_chi_tau_by_tau(spec, first, second, callable_source, log_depth, points,
+                                      cfg):
+    """coherence_curve evaluates the tau grid in batches; each tau agrees
+    with chi alone within 1e-12 relative or its error estimate. The grid
+    runs from u = 10^log_depth (n + 1) at the support's end, deep in the
+    stop band (series and direct quadrature, supra-ohmic widening), to 30
+    times that (pairwise). A callable source alternates two sequences,
+    built anew for every tau. The taus that fail and the CurveFailure
+    message are chi's, with one exception: quadrature shares node tables
+    across taus, so F's rounding differs, and where that rounding floor
+    (which the error estimate leaves out) is within a hundredth of the
+    tolerance, a value may move by it, and with it a failure's numbers or,
+    at the margin, whether it fails."""
+    if callable_source:
+        def source(tau):
+            pick = (first, second)[int(np.floor(4.0 * np.log(tau))) % 2]
+            return make_custom(pick.deltas, width_ratio=pick.width_ratio, label=pick.label)
+    else:
+        source = first
+    n = max(first.n, second.n) if callable_source else first.n
+    support = spec.effective_support(min(cfg.rel_tol / 10.0, 0.1))
+    t0 = 10.0 ** log_depth * (n + 1) / support[1]
+    taus = np.geomspace(t0, 30.0 * t0, points)
+    seqs = [source(tau) for tau in taus] if callable_source else [first] * points
+    expected = []
+    for seq, tau in zip(seqs, taus):
+        try:
+            expected.append(chi(seq, spec, tau, cfg, full_output=True))
+        except Exception as exc:  # compared with the curve's failures below
+            expected.append(exc)
+
+    def floor(i, info=None):
+        return _rounding_floor(seqs[i], spec, taus[i], info["support"] if info else support)
+
+    def noisy(i):
+        out = expected[i]
+        if not isinstance(out, ToleranceNotMet):
+            return isinstance(out, tuple) and out[1]["path"] == "quadrature" and \
+                floor(i, out[1]) >= 0.01 * cfg.rel_tol * abs(out[0])
+        return floor(i) >= 0.01 * cfg.rel_tol * abs(out.value)
+
+    failed = [i for i, out in enumerate(expected) if isinstance(out, Exception)]
+    try:
+        curve = coherence_curve(source, spec, taus, cfg)
+        got = []
+    except CurveFailure as exc:
+        got, curve, message = [i for i, _ in exc.failures], None, str(exc)
+        best = exc.failures[0][1]
+    assert all(noisy(i) for i in set(got) ^ set(failed))
+    if got and got == failed:
+        want = _curve_failure_message(taus, failed, expected[failed[0]])
+        if noisy(failed[0]):
+            head = want.split(": ")[0]
+            assert message.startswith(head)
+            assert abs(best.value - expected[failed[0]].value) <= 2.0 * floor(failed[0])
+        else:
+            assert message == want
+    if curve is None:
+        return
+    for i, out in enumerate(expected):
+        if isinstance(out, Exception):
+            continue
+        value, info = out
+        allowed = max(1e-12 * abs(value), curve.diagnostics["error_estimate"][i])
+        if info["path"] == "quadrature":
+            allowed += 2.0 * floor(i, info)
+        assert abs(curve.chi_values[i] - value) <= allowed
+        assert curve.w_values[i] == float(np.exp(-curve.chi_values[i]))
+        assert curve.diagnostics["path"][i] == info["path"]
+        assert curve.labels[i] == f"{seqs[i].label}:{seqs[i].n}"
+        assert curve.pulse_counts[i] == seqs[i].n

@@ -17,7 +17,7 @@ from ddfilter import (
 )
 from ddfilter import filters
 from ddfilter.filters import StopBandFilter, _switching_times
-from ddfilter.quadrature import NODES
+from ddfilter.quadrature import NODES, build_edges
 
 
 def _naive_filter(deltas, u):
@@ -268,6 +268,40 @@ def test_panel_evaluator_takes_any_array_node_by_node():
     u[7, 4] += 0.5
     assert np.array_equal(filter_value_finite(seq, u, nodes=NODES)[[3, 7]],
                           filter_value_finite(seq, u[[3, 7]]))
+
+
+def test_few_panels_go_node_by_node_without_grouping():
+    """Under _SHARED_MIN panels x segments _panel_z is the node-by-node sum,
+    decided before any sorting or grouping of the panels."""
+    seq = make_canonical("udd", 4)
+    u = _panels(0.0, 3.0, 2, [False])
+    assert u.shape[0] * (seq.n + 1) < filters._SHARED_MIN
+    with mock.patch.object(filters.np, "argsort", side_effect=AssertionError("grouped")):
+        panel = filter_value_finite(seq, u, nodes=NODES)
+    assert np.array_equal(panel, filter_value_finite(seq, u))
+
+
+def test_panels_of_a_tau_grid_share_one_table():
+    """The full panels of a coherence curve's quadrature, 2 pi / 4 wide in
+    u = omega tau for 40 taus over two decades (u up to 1,800), differ in hw
+    only by the rounding of u; taking h from the panel nearest u = 0 keeps
+    every one of them on the shared table, within the node-by-node bound."""
+    seq = make_canonical("udd", 6)
+    rows = []
+    for tau in np.geomspace(0.3, 30.0, 40):
+        edges = build_edges(0.0, 60.0, max_panel=2.0 * np.pi / (4.0 * tau))[:-1]   # no remainder
+        a, b = edges[:-1], edges[1:]
+        rows.append(tau * (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * NODES))
+    u = np.concatenate(rows)
+    calls = []
+    node_z = filters._node_z
+    with mock.patch.object(filters, "_node_z",
+                           side_effect=lambda d, uu, r: calls.append(uu.shape[0]) or node_z(d, uu, r)):
+        panel = filter_value_finite(seq, u, nodes=NODES)
+    assert calls == []
+    node = filter_value_finite(seq, u)
+    delta = 128.0 * np.finfo(float).eps * (seq.n + 1) * (u[:, -1:] + 1.0)
+    assert np.all(np.abs(panel - node) <= 4.0 * delta * (np.sqrt(node) + delta))
 
 
 def _node_filter(seq, u):

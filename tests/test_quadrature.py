@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ddfilter import QuadratureConfig, ToleranceNotMet, build_edges, integrate
-from ddfilter.quadrature import panel_nodes
+from ddfilter import quadrature
+from ddfilter.quadrature import integrate_batch, panel_nodes
 
 
 def test_smooth_integral_exact():
@@ -76,6 +79,65 @@ def test_build_edges_validation():
     assert any(abs(e - 2.0) < 1e-15 for e in edges)  # inside breakpoint kept
     assert not any(e > 10.0 for e in edges)  # outside breakpoint dropped
     assert np.max(np.diff(edges)) <= 3.0 + 1e-12
+
+
+def test_build_edges_full_panels_share_one_width():
+    """Between kinks every panel is max_panel wide but the last of each
+    interval, which takes the remainder."""
+    edges = build_edges(0.5, 10.0, breakpoints=(2.0, 7.25), max_panel=0.4)
+    for lo, hi in ((0.5, 2.0), (2.0, 7.25), (7.25, 10.0)):
+        inside = edges[(edges >= lo) & (edges <= hi)]
+        assert inside[0] == lo and inside[-1] == hi
+        widths = np.diff(inside)
+        assert np.allclose(widths[:-1], 0.4, rtol=0, atol=1e-14)
+        assert 0.0 < widths[-1] <= 0.4 + 1e-14
+    # a width that divides the interval exactly leaves no sliver panel
+    assert np.diff(build_edges(0.0, 1.0, max_panel=0.25)).min() > 0.2
+
+
+@pytest.mark.parametrize("cap", [None, 16])
+def test_integrate_batch_matches_integrate_per_set(cap, monkeypatch):
+    """Each integral of a batch gets what integrate gives it alone: its own
+    budget, halving rule and panel count. The panel cap applies to a
+    batch's panels in total; lowered to 16 it stops the batch below the 40
+    panels its integrals end on, but none of them alone (14, 15 and 11)."""
+    if cap is not None:
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
+    freqs = np.array([3.0, 40.0, 0.5])
+    peaks = np.array([0.3, 0.7, 0.55])
+
+    def f(x, owner):
+        k = owner[:, None]
+        return np.cos(freqs[k] * x) + 1.0 / ((x - peaks[k]) ** 2 + 1e-4)
+
+    edge_sets = [build_edges(0.0, 1.0, max_panel=0.3), build_edges(0.0, 2.0, breakpoints=(0.9,)),
+                 build_edges(0.2, 1.0)]
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    refused = quadrature._refine(f, edge_sets, cfg)[3]
+    assert refused.any() == (cap is not None)
+    values, errors, panels = integrate_batch(f, edge_sets, cfg)
+    assert list(panels) == [14, 15, 11]
+    for k, edges in enumerate(edge_sets):
+        one = integrate(lambda x: f(x, np.full(x.shape[0], k)), edges, cfg)
+        assert (values[k], errors[k], panels[k]) == one
+
+
+def test_integrate_memory_is_capped_when_never_converging():
+    """An integrand that never converges doubles its panels every round;
+    refinement stops at the panel cap (2^18 here, against 2^22 after 12
+    rounds), and ToleranceNotMet still carries the best value and error."""
+    f = lambda x: np.sign(np.sin(1e6 * x))
+    edges = build_edges(0.0, 1.0, max_panel=1.0 / 1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ToleranceNotMet) as ei:
+            integrate(f, edges, QuadratureConfig(max_subdivisions=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert np.isfinite(ei.value.value) and abs(ei.value.value) < 1.0
+    assert ei.value.achieved > 1e-8 * abs(ei.value.value)
 
 
 @pytest.mark.parametrize("order", [10, 21])
