@@ -8,6 +8,7 @@ one-line JSON on stderr), 2 usage.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -246,6 +247,7 @@ def cmd_figures(args):
     return 0
 
 
+@functools.cache    # parse_args keeps no state in the parser: one serves every main call
 def build_parser():
     p = argparse.ArgumentParser(
         prog="dd",
@@ -335,8 +337,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DDError, ValueError, OSError) as exc:

@@ -85,15 +85,19 @@ def write_json(path, obj, indent=2):
 
 
 def write_csv(path, header, rows):
-    """CSV with a header line; floats get the 17-digit treatment."""
+    """CSV with a header line; floats get the 17-digit treatment. Rows must
+    have equal lengths: the table is formatted column by column."""
 
-    def cell(v):
-        if isinstance(v, (np.floating, float)):
-            return format_float(float(v))
-        return str(v)
+    def column(values):
+        if set(map(type, values)) <= {float, np.float64}:   # Python floats format faster
+            floats = np.array(values, dtype=float)
+            return list(map("{:.17g}".format if np.isfinite(floats).all() else format_float,
+                            floats.tolist()))
+        return [format_float(float(v)) if isinstance(v, (np.floating, float)) else str(v)
+                for v in values]
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    columns = [column(values) for values in zip(*rows, strict=True)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -31,10 +31,10 @@ from scipy.optimize import minimize
 from .coherence import _chi
 from .errors import DDError, Infeasible, NotConverged
 from .filters import PAIR_ROUNDING, filter_value, pair_plan
+from .oracle import _grid_cos_sum
 from .quadrature import QuadratureConfig, build_edges, integrate, panel_nodes
 from .sequences import (PulseSequence, _validate, canonical_deltas, make_custom,
                         min_gap)
-from .spectra import PowerLaw, Tabulated
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,8 @@ def _unsqueeze(gaps, gmin):
 
 _OBJ_QUAD = QuadratureConfig(rel_tol=1e-7, max_subdivisions=8)
 _AREA_QUAD = QuadratureConfig(rel_tol=1e-9, max_subdivisions=6)
+_RESOLUTION = 8          # panels per 2 pi of the fastest cosine: area fallback, kernel table
+_KERNEL_POINTS = 40001   # uniform lags 0, 1/40000, ..., 1 of the BADD kernel table
 
 
 def _chi_objective(spec, tau):
@@ -157,7 +159,7 @@ def _chi_objective(spec, tau):
     return f
 
 
-def _area_objective(u_max, resolution=8):
+def _area_objective(u_max):
     """Filter area on [0, u_max]: the exact pairwise sine sum
 
         int_0^U F(u) du = U sum_k c_k^2 + 2 sum_{j<k} c_j c_k sin(U dt_jk) / dt_jk,
@@ -170,8 +172,8 @@ def _area_objective(u_max, resolution=8):
     u_max = _positive(u_max, "u_max")
 
     @functools.cache
-    def edges():    # u_max / (2 pi / resolution) panels, built on the first fallback
-        return build_edges(0.0, u_max, max_panel=2.0 * np.pi / resolution)
+    def edges():    # u_max / (2 pi / _RESOLUTION) panels, built on the first fallback
+        return build_edges(0.0, u_max, max_panel=2.0 * np.pi / _RESOLUTION)
 
     def f(deltas):
         d = np.asarray(deltas, dtype=float)
@@ -196,44 +198,31 @@ def filter_area(seq, u_max):
     return _area_objective(u_max)(seq.deltas)
 
 
-def _kernel_chi_objective(spec, tau, n_delta=40001, resolution=8):
-    """Exact pairwise-kernel form of chi for spectra with finite S/omega^2 mass.
+def _kernel_chi_objective(spec, tau):
+    """Pairwise-kernel form of chi, BADD's search surrogate for spectra
+    without a structure function:
 
-    chi(deltas) = c^T K c with c the phasor coefficients of ytilde and
-    K(d) = (2/pi) integral S(omega) cos(omega tau d) / omega^2 domega,
-    tabulated once on a fine d grid. Mathematically identical to the
-    quadrature chi; used as the fast inner objective for BADD sweeps.
+        chi(deltas) = K(0) sum_k c_k^2 + 2 sum_{j<k} c_j c_k K(d_jk),
+        K(d) = (2/pi) integral S(omega) cos(omega tau d) / omega^2 domega,
+
+    with c the phasor coefficients of ytilde. K is tabulated once on
+    _KERNEL_POINTS uniform lags by the oracle's grid cosine sum over fixed
+    GL21 panels (no error estimate) and linearly interpolated, so BADD
+    re-scores every winner with chi.
     """
     lo, hi = spec.effective_support(1e-10)
     edges = build_edges(lo, hi, breakpoints=spec.breakpoints(),
-                        max_panel=2.0 * np.pi / (tau * resolution))
+                        max_panel=2.0 * np.pi / (tau * _RESOLUTION))
     om, wts = panel_nodes(edges, 21)
-    s_w = spec.evaluate(om) / om ** 2 * wts
-    dgrid = np.linspace(0.0, 1.0, n_delta)
-    table = np.empty(n_delta)
-    blk = 512
-    for i in range(0, n_delta, blk):
-        dd = dgrid[i:i + blk]
-        table[i:i + blk] = s_w @ np.cos(np.outer(om * tau, dd))
-    table *= 2.0 / np.pi
+    lags = np.linspace(0.0, 1.0, _KERNEL_POINTS)
+    table = (2.0 / np.pi) * _grid_cos_sum(spec.evaluate(om) / om ** 2 * wts, om,
+                                          tau * lags[1], lags.size)
 
     def f(deltas):
-        p = np.concatenate([[0.0], deltas, [1.0]])
-        c = pair_plan(len(deltas), 0.0).c
-        diffs = np.abs(p[:, None] - p[None, :])
-        K = np.interp(diffs.ravel(), dgrid, table).reshape(diffs.shape)
-        return float(c @ K @ c)
+        plan = pair_plan(len(deltas), 0.0)
+        total, _mag = plan.sums(deltas, lambda lag: np.interp(lag, lags, table))
+        return table[0] * float(plan.c @ plan.c) + 2.0 * total
     return f
-
-
-def _supports_kernel(spec):
-    """True for the spectra without a closed-form structure function whose
-    S/omega^2 has finite total mass (kernel form applicable)."""
-    if isinstance(spec, PowerLaw):
-        return spec.exponent > 1.0 or spec.omega_lo > 0.0
-    if isinstance(spec, Tabulated):
-        return True  # hard low cutoff at the first node
-    return False
 
 
 # ---------------------------------------------------------------- core engine
@@ -359,10 +348,10 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     For each n up to min(n_max, floor(tau/tau_switch) - 1), runs the
     constrained position optimization and returns the overall best. The
     inner objective is chi itself (pairwise wherever the spectrum has a
-    structure function), except for power-law and tabulated spectra with
-    finite S/omega^2 mass: there a tabulated pairwise kernel is the fast
-    surrogate and every per-n winner is re-scored with chi. Baselines are
-    the projected (feasible) canonical sequences at the winning n.
+    structure function), except for spectra without a closed-form D: there
+    a tabulated pairwise kernel is the fast surrogate. Every per-n winner
+    is scored with chi. Baselines are the projected (feasible) canonical
+    sequences at the winning n.
     """
     cfg = cfg or OptimizationConfig()
     tau, tau_switch = _positive(tau, "tau"), _positive(tau_switch, "tau_switch")
@@ -375,15 +364,15 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
         raise Infeasible(
             f"tau_switch={tau_switch:g} leaves no room for one pulse in tau={tau:g}")
 
-    fast = _supports_kernel(spec)
+    kernel = spec.structure_function is None
     true_chi = _chi_objective(spec, tau)
-    inner = _kernel_chi_objective(spec, tau) if fast else true_chi
+    inner = _kernel_chi_objective(spec, tau) if kernel else true_chi
 
     per_n = []
     entries = []
     for n in range(1, n_hi + 1):
         best, deltas, _ = _optimize_core(inner, n, cfg, gmin=gmin)
-        value = float(true_chi(deltas)) if fast else best["objective"]
+        value = float(true_chi(deltas))
         # the result is the best over n, labelled BADD even on a zero spectrum
         entries.append((value, n, dict(best, objective=value, degenerate=False), deltas))
         per_n.append({"n": n, "objective": value, "converged": best["converged"]})
@@ -394,4 +383,4 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
         gaps = project_gaps(deltas_to_gaps(canonical_deltas(fam, n_best)), gmin)
         baselines[fam] = float(true_chi(gaps_to_deltas(gaps)))
     return _result(best, deltas, baselines, cfg, "badd", gmin, n_best=n_best, n_limit=n_hi,
-                   kernel_objective=fast, per_n=per_n)
+                   kernel_objective=kernel, per_n=per_n)

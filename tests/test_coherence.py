@@ -406,6 +406,23 @@ def test_unbounded_powerlaw_counts_the_dropped_tail():
     assert abs(value - ref) <= max(info["error_estimate"], 1e-6 * ref)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ToleranceNotMet,
+    reason="under a power law with p < 0 and omega_lo = 0, a sequence whose F goes "
+    "as u^2 at 0 (fid, pdd2/4/6) has an integrand that goes as omega^p at 0; 12 "
+    "halvings of the first panel do not resolve that singularity (ROADMAP items 1 "
+    "and 2)",
+)
+def test_singular_powerlaw_chi_converges():
+    """chi under PowerLaw(1, -0.5, 0, 5) returns for every canonical family;
+    udd and cpmg, with F ~ u^4 at 0, already do."""
+    spec = PowerLaw(1.0, -0.5, 0.0, 5.0)
+    for seq in (make_canonical("udd", 4), make_canonical("cpmg", 4),
+                make_canonical("pdd", 2), make_canonical("fid")):
+        assert np.isfinite(chi(seq, spec, 1.0))
+
+
 def test_curve_takes_every_route_tau_by_tau():
     """A supra-ohmic udd12 curve from the deep stop band into the passband
     takes the series route, the direct route on a widened support and the

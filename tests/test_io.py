@@ -77,6 +77,28 @@ def test_write_csv_full_precision(tmp_path):
     assert u_back == math.pi
 
 
+def _reference_csv(header, rows):
+    """write_csv's text formatted cell by cell."""
+    def cell(v):
+        return format_float(float(v)) if isinstance(v, (np.floating, float)) else str(v)
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [(u, u ** 2, "ideal", 3) for u in np.geomspace(1e-3, 1e3, 50)],
+    [(1, 2.5, True, None, np.float32(0.1), np.int64(7), "s", 10 ** 17, -0.0)] * 3,
+    [(math.nan, math.inf, 1.5), (-math.inf, np.float64(np.nan), 2), (np.float64(np.inf), 1e-300, np.float32(4.5))],
+    [tuple(np.random.default_rng(1).standard_normal(4) * 1e150)],
+    [],
+], ids=["filter", "mixed-types", "non-finite", "extreme", "empty"])
+def test_write_csv_matches_cell_by_cell_formatting(tmp_path, rows):
+    """Column-wise formatting writes the bytes of per-cell format_float / str."""
+    path = tmp_path / "t.csv"
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+    write_csv(path, header, rows)
+    assert path.read_text() == _reference_csv(header, rows)
+
+
 def test_load_spectrum(tmp_path):
     path = tmp_path / "spec.json"
     write_json(path, {"variant": "ohmic", "amplitude": 0.5, "omega_d": 3.0})

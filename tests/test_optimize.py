@@ -89,13 +89,23 @@ def test_gap_delta_round_trip():
     assert np.allclose(gaps_to_deltas(deltas_to_gaps(d)), d)
 
 
+TAB5 = Tabulated((0.1, 0.5, 1.0, 3.0, 10.0), (1.0, 0.8, 0.5, 0.2, 0.01))
+
+
 def test_kernel_objective_equals_chi():
-    """The tabulated pairwise-kernel chi is the quadrature chi, reshaped."""
-    f = _kernel_chi_objective(SUPRA, 5.0)
-    for fam, n in [("cpmg", 4), ("udd", 6)]:
-        d = np.asarray(make_canonical(fam, n).deltas)
-        want = chi(make_custom(d), SUPRA, 5.0)
-        assert f(d) == pytest.approx(want, rel=1e-6)
+    """The tabulated pairwise-kernel chi is the quadrature chi, reshaped: on a
+    spectrum with a structure function and on the spectra BADD sends to the
+    table. The unbounded power law is compared with chi of the law cut at
+    1e4, whose dropped tail holds 1e-15 of the S/omega^2 mass; chi of the
+    unbounded law drops more (test_unbounded_powerlaw_counts_the_dropped_tail)."""
+    cases = [(SUPRA, SUPRA), (PowerLaw(0.2, 0.5, 0.01, 5.0),) * 2, (TAB5, TAB5),
+             (PowerLaw(1.0, -2.0, 0.1, np.inf), PowerLaw(1.0, -2.0, 0.1, 1e4))]
+    for spec, ref in cases:
+        f = _kernel_chi_objective(spec, 5.0)
+        for fam, n in [("cpmg", 4), ("udd", 6)]:
+            d = np.asarray(make_canonical(fam, n).deltas)
+            want = chi(make_custom(d), ref, 5.0)
+            assert f(d) == pytest.approx(want, rel=1e-6)
 
 
 def test_lodd_dominates_baselines_and_is_stationary():
@@ -267,6 +277,20 @@ def test_badd_small_scenario_properties():
     assert res.objective_value == pytest.approx(
         chi(res.sequence, SUPRA, 5.0), rel=1e-6
     )
+
+
+@pytest.mark.parametrize("spec", [
+    PowerLaw(0.2, 0.5, 0.01, 5.0), PowerLaw(1.0, 0.5, 0.0, 5.0),
+    PowerLaw(1.0, -2.0, 0.1, np.inf), TAB5,
+], ids=["powerlaw", "powerlaw-lo0", "powerlaw-unbounded", "tabulated"])
+def test_badd_searches_the_kernel_table_and_scores_chi(spec):
+    """Spectra without a structure function search on the kernel table
+    (PowerLaw(1, 0.5, 0, 5) too, whose S/omega^2 mass is infinite), and the
+    result is scored with the optimizer's chi, bit for bit."""
+    res = optimize_badd(spec, 5.0, 0.8, 3, FAST)
+    assert res.diagnostics["kernel_objective"] is True
+    assert res.objective_value == chi(res.sequence, spec, 5.0, _OBJ_QUAD)
+    assert res.objective_value <= min(res.baseline_values.values()) * (1.0 + 1e-6)
 
 
 def test_badd_boundary_single_feasible_point():
