@@ -16,7 +16,7 @@ from .errors import (BadConfig, CollisionAfterRounding, CurveFailure, DDError,
                      GapViolation, Infeasible, InsufficientSpan, NoCrossing,
                      NonIntegrableSpectrum, NonMonotonic, NoPeak,
                      NotConverged, NumericFloor, OutOfRange, ToleranceNotMet,
-                     UnderResolved, WidthOverflow, WindowOutOfRange)
+                     UnderResolved, WindowOutOfRange)
 from .filters import (FilterSamples, filter_value, filter_value_finite,
                       modified_filter_value, sample_filter)
 from .metrics import (BandpassProfile, ComparisonSamples, FilterMetrics,
@@ -45,9 +45,9 @@ __all__ = [
     "OhmicSharpCutoff", "OptimizationConfig", "OptimizationResult",
     "OutOfRange", "PassbandStats", "PowerLaw", "PulseSequence",
     "QuadratureConfig", "SamplingVector", "Spectrum", "SupraOhmicExp", "Tabulated",
-    "ToleranceNotMet", "UnderResolved", "WhiteBand", "WidthOverflow",
-    "WindowOutOfRange", "autocovariance", "bandpass_profile", "build_edges",
-    "canonical_deltas", "chi", "coherence_curve", "coherence_w",
+    "ToleranceNotMet", "UnderResolved", "WhiteBand", "WindowOutOfRange",
+    "autocovariance", "bandpass_profile", "build_edges", "canonical_deltas",
+    "chi", "coherence_curve", "coherence_w",
     "effective_support", "eval_spectrum", "filter_area", "filter_metrics",
     "filter_ratio", "filter_value", "filter_value_finite", "from_dict",
     "grammian_chi", "integrate", "make_canonical", "make_custom", "max_order",

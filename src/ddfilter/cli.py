@@ -28,7 +28,7 @@ from .spectra import rescale_time
 _FAMILIES = ("fid", "cpmg", "pdd", "udd")
 
 
-def parse_sequence_spec(text, width_ratio=0.0):
+def parse_sequence_spec(text):
     """'fid' | 'cpmg:4' | 'pdd:3' | 'udd:7' | 'custom:0.1,0.25,0.7'."""
     name, _, arg = text.partition(":")
     name = name.strip().lower()
@@ -43,24 +43,22 @@ def parse_sequence_spec(text, width_ratio=0.0):
             raise BadConfig(f"unknown sequence spec {text!r}")
     except ValueError as exc:
         raise BadConfig(f"bad sequence spec {text!r}: {exc}") from exc
-    if width_ratio:
-        seq = make_custom(seq.deltas, width_ratio=width_ratio, label=seq.label)
     return seq
 
 
 def _resolve_sequence(args):
-    width = getattr(args, "width_ratio", 0.0) or 0.0
-    if getattr(args, "seq", None):
-        return parse_sequence_spec(args.seq, width)
     fam = getattr(args, "family", None)
-    if fam is None:
+    if getattr(args, "seq", None):
+        seq = parse_sequence_spec(args.seq)
+    elif fam is None:
         raise BadConfig("provide --seq or --family")
-    if fam == "fid":
+    elif fam == "fid":
         seq = make_canonical("fid")
+    elif getattr(args, "n", None) is None:
+        raise BadConfig(f"--family {fam} requires --n")
     else:
-        if getattr(args, "n", None) is None:
-            raise BadConfig(f"--family {fam} requires --n")
         seq = make_canonical(fam, args.n)
+    width = getattr(args, "width_ratio", 0.0) or 0.0
     if width:
         seq = make_custom(seq.deltas, width_ratio=width, label=seq.label)
     return seq

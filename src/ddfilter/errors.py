@@ -22,17 +22,12 @@ class OutOfRange(DDError):
 
 
 class GapViolation(DDError):
-    """An inter-pulse free gap is not strictly positive for the given width."""
+    """An inter-pulse free gap is not strictly positive for the given width
+    (so also whenever the pulses do not fit, r*n >= 1)."""
 
 
 class CollisionAfterRounding(DDError):
     """Two pulses landed on the same grid point after timing quantization."""
-
-
-# ------------------------------------------------------------------- filter
-
-class WidthOverflow(DDError):
-    """Total pulse width r*n >= 1: pulses do not fit inside the sequence."""
 
 
 # ------------------------------------------------------------------ spectra

@@ -1,17 +1,20 @@
 """Filter-function evaluation F(u), u = omega*tau, for pulse sequences.
 
-F(u) = |1 + (-1)^(n+1) e^(iu) + 2 sum_j (-1)^j e^(i delta_j u)|^2 for n >= 1
-pulses, and sin^2(u/2) for free-induction decay (n = 0).
+F(u) = |1 + (-1)^(n+1) e^(iu) + 2 sum_j (-1)^j cos(u r/2) e^(i delta_j u)|^2
+for n >= 1 pulses of width ratio r (r = 0: instantaneous pulses), and
+sin^2(u/2) for free-induction decay (n = 0).
 
 The complex sum is evaluated in an exactly regrouped form: telescoping
 over the free-precession segments gives
 
     ytilde(u) = -2i * sum_k s_k * sin(u g_k / 2) * exp(i u m_k)
 
-with segment lengths g_k, midpoints m_k and alternating signs s_k.
-This is the same expression term for term, but each summand vanishes
-with u, so the deep small-u cancellation happens analytically instead
-of in floating point (the naive phasor sum loses ~5 digits at u=1e-2).
+with segment lengths g_k, midpoints m_k and alternating signs s_k. The
+segments lie between the pulse windows delta_j -+ r/2, where the toggling
+function is zero, so one sum serves every width. This is the same
+expression term for term, but each summand vanishes with u, so the deep
+small-u cancellation happens analytically instead of in floating point
+(the naive phasor sum loses ~5 digits at u=1e-2).
 
 On quadrature panels, u = mid + hw x, every summand splits into a
 per-panel and a per-node factor (_panel_z), so z is a complex matrix
@@ -39,19 +42,21 @@ relative precision however small it is.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import WidthOverflow
 from .sequences import PulseSequence, quantize_timing
 
 
-def _segments(deltas):
-    """Lengths g_k, midpoints m_k and signs s_k of the free-precession segments."""
-    d = np.concatenate([[0.0], deltas, [1.0]])
-    return np.diff(d), 0.5 * (d[:-1] + d[1:]), (-1.0) ** np.arange(d.size - 1)
+def _segments(deltas, r):
+    """Lengths g_k, midpoints m_k and signs s_k of the free-precession
+    segments [delta_j + r/2, delta_(j+1) - r/2], with 0 and 1 at the ends:
+    a pulse of width ratio r blanks the toggling function on delta_j -+ r/2."""
+    a = np.concatenate([[0.0], deltas + 0.5 * r])
+    b = np.concatenate([deltas - 0.5 * r, [1.0]])
+    return b - a, 0.5 * (a + b), (-1.0) ** np.arange(a.size)
 
 
 _PAIR_BLOCK = 1 << 20      # pairs per block: bounds pair_sums' memory
@@ -172,14 +177,9 @@ def _product(table, mid, right):
 
 def _node_z(deltas, u, r):
     """ytilde(u)/(-2i) = sum_k s_k sin(u g_k/2) e^(iu m_k), node by node, any shape."""
-    g, m, s = _segments(deltas)
+    g, m, s = _segments(deltas, r)
     uu = u.ravel()
     z = (s[:, None] * np.sin(np.outer(g, uu) / 2.0) * np.exp(1j * np.outer(m, uu))).sum(axis=0)
-    if r:
-        # ytilde_w = ytilde_ideal - 4 sin^2(u r/4) sum_j (-1)^j e^(i delta_j u)
-        # and ytilde_ideal = -2i z, so ytilde_w = -2i (z - 2i sin^2 * sum)
-        z = z - 2.0j * np.sin(uu * r / 4.0) ** 2 * (
-            s[1:, None] * np.exp(1j * np.outer(deltas, uu))).sum(axis=0)
     return z.reshape(u.shape)
 
 
@@ -194,7 +194,7 @@ def _panel_z(deltas, u, nodes, r):
     groups under _SHARED_MIN panels x segments, go node by node."""
     if u.shape[0] * (len(deltas) + 1) < _SHARED_MIN:
         return _node_z(deltas, u, r)
-    g, m, s = _segments(deltas)
+    g, m, s = _segments(deltas, r)
     half = 0.5 * g
     z, done = np.empty(u.shape, dtype=complex), np.zeros(u.shape[0], dtype=bool)
     x = np.asarray(nodes, dtype=float)
@@ -217,10 +217,6 @@ def _panel_z(deltas, u, nodes, r):
             continue
         b, e = half[:, None] * (h * x), np.exp(1j * m[:, None] * (h * x))
         z[rows] = _product(segments, mid[rows], np.concatenate([np.cos(b) * e, np.sin(b) * e]))
-        if r:
-            z[rows] -= 2.0j * np.sin(u[rows] * r / 4.0) ** 2 * _product(
-                lambda mp: s[1:] * np.exp(1j * mp[:, None] * deltas), mid[rows],
-                np.exp(1j * deltas[:, None] * (h * x)))
         done[rows] = True
     if not done.all():
         z[~done] = _node_z(deltas, u[~done], r)
@@ -250,8 +246,8 @@ def _fold(u, segments):
     return grid.reshape(-1, b)
 
 
-def _filter(seq, u, r, nodes):
-    """F(u) at width ratio r: the one evaluator behind both public names.
+def _filter(seq, u, nodes):
+    """F(u) at seq's width ratio: the one evaluator behind both public names.
 
     A uniform 1-D grid without nodes goes to _panel_z folded (_fold), with
     offsets x = j: transcendentals per row and per column, not per point."""
@@ -262,7 +258,7 @@ def _filter(seq, u, r, nodes):
     if seq.n == 0:
         out = np.sin(uu / 2.0) ** 2
     else:
-        d = np.asarray(seq.deltas, dtype=float)
+        d, r = np.asarray(seq.deltas, dtype=float), seq.width_ratio
         grid = _fold(uu, d.size + 1) if nodes is None else None
         if grid is not None:
             z = _panel_z(d, grid, np.arange(grid.shape[1]), r).ravel()[:uu.size]
@@ -273,28 +269,23 @@ def _filter(seq, u, r, nodes):
 
 
 def filter_value(seq, u):
-    """Ideal (instantaneous-pulse) filter: filter_value_finite at r = 0."""
+    """Ideal (instantaneous-pulse) filter: filter_value_finite of a width-0 sequence."""
     if seq.width_ratio != 0:
         raise ValueError("filter_value requires width_ratio 0; use filter_value_finite")
-    return _filter(seq, u, 0.0, None)
+    return _filter(seq, u, None)
 
 
-def filter_value_finite(seq, u_prime, r=None, nodes=None):
-    """Finite-pulse-width filter function over u' = omega * tau_total.
+def filter_value_finite(seq, u_prime, nodes=None):
+    """Filter function of seq at its width ratio r = tau_pi/tau_total, over
+    u' = omega * tau_total.
 
-    Interior pulse terms acquire a cos(u'*r/2) factor, r = tau_pi/tau_total.
-    Evaluated as the ideal segment sum plus the exact width correction
-    -4 sin^2(u' r / 4) * sum_j (-1)^j e^(i delta_j u'), which keeps the
-    small-u' behavior stable. With `nodes` (a quadrature rule's offsets,
-    one of them 0) u' is a panels x nodes array, evaluated by _panel_z.
-    Raises WidthOverflow when r*n >= 1.
+    Interior pulse terms acquire a cos(u'*r/2) factor. Evaluated as the
+    segment sum over the free intervals between the pulse windows, which
+    keeps the small-u' behavior stable. With `nodes` (a quadrature rule's
+    offsets, one of them 0) u' is a panels x nodes array, evaluated by
+    _panel_z.
     """
-    r = seq.width_ratio if r is None else float(r)
-    if r < 0:
-        raise ValueError("width ratio must be >= 0")
-    if r * seq.n >= 1.0:
-        raise WidthOverflow(f"pulses do not fit: r*n = {r * seq.n:.3g} >= 1")
-    return _filter(seq, u_prime, r, nodes)
+    return _filter(seq, u_prime, nodes)
 
 
 _EPS = np.finfo(float).eps
@@ -449,11 +440,10 @@ class FilterSamples:
     variant: str
     n: int
     sequence: PulseSequence
-    width_ratio: float = 0.0
 
     def evaluate(self, u):
         """Re-evaluate the same variant at arbitrary u (metrics refinement)."""
-        return filter_value_finite(self.sequence, u, self.width_ratio)
+        return filter_value_finite(self.sequence, u)
 
 
 @functools.lru_cache(maxsize=16)
@@ -480,21 +470,17 @@ def sample_filter(seq, u_min, u_max, points_per_decade, variant="ideal", precisi
     grid = _log_grid(float(u_min), float(u_max), npts)
 
     if variant == "ideal":
-        src = seq
-        if src.width_ratio != 0:
-            src = PulseSequence(deltas=seq.deltas, width_ratio=0.0, label=seq.label)
+        src = replace(seq, width_ratio=0.0) if seq.width_ratio else seq
         vals = filter_value(src, grid)
         return FilterSamples(grid, vals, "ideal", seq.n, src)
     if variant == "finite":
-        r = seq.width_ratio
-        vals = filter_value_finite(seq, grid, r)
-        return FilterSamples(grid, vals, f"finite:{r:g}", seq.n, seq, width_ratio=r)
+        vals = filter_value_finite(seq, grid)
+        return FilterSamples(grid, vals, f"finite:{seq.width_ratio:g}", seq.n, seq)
     if variant == "quantized":
         if precision is None:
             raise ValueError("quantized variant requires a precision")
         q = quantize_timing(seq, precision)
-        if q.width_ratio != 0:
-            q = PulseSequence(deltas=q.deltas, width_ratio=0.0, label=q.label)
+        q = replace(q, width_ratio=0.0) if q.width_ratio else q
         vals = filter_value(q, grid)
         return FilterSamples(grid, vals, f"quantized:{precision:g}", seq.n, q)
     raise ValueError(f"unknown variant: {variant!r}")

@@ -42,7 +42,6 @@ class OptimizationConfig:
     restarts: int = 2              # jittered starts beyond the 3 canonical seeds
     max_iterations: int = None     # per-start Nelder-Mead cap (None = solver default)
     tol: float = 1e-10             # objective convergence tolerance (fatol)
-    step_scale: float = 0.3        # initial simplex step in log-ratio space
     seed: int = 0
     min_gap_fraction: float = None  # optional constraint: every gap >= this
 
@@ -51,7 +50,6 @@ class OptimizationConfig:
         if self.max_iterations is not None:
             _integer(self.max_iterations, "max_iterations", 1)
         _positive(self.tol, "tol")
-        _positive(self.step_scale, "step_scale")
         gmin = self.min_gap_fraction
         if gmin is not None and not (isinstance(gmin, numbers.Real) and 0.0 <= gmin < 1.0):
             raise ValueError(f"min_gap_fraction must be in [0, 1), got {gmin!r}")
@@ -227,9 +225,12 @@ def _kernel_chi_objective(spec, tau):
 
 # ---------------------------------------------------------------- core engine
 
+_STEP_SCALE = 0.3    # initial simplex step and start jitter in log-ratio space
+
+
 def _nm_start(objective_x, x0, cfg):
     n = x0.size
-    simplex = np.vstack([x0] + [x0 + cfg.step_scale * np.eye(n)[i] for i in range(n)])
+    simplex = np.vstack([x0] + [x0 + _STEP_SCALE * np.eye(n)[i] for i in range(n)])
     options = {"xatol": 1e-8, "fatol": cfg.tol, "initial_simplex": simplex,
                "maxiter": cfg.max_iterations if cfg.max_iterations else 200 * n,
                "maxfev": 10 ** 9}
@@ -286,7 +287,7 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
     rng = np.random.default_rng(cfg.seed)
     for k in range(cfg.restarts):
         base = starts[k % 3][1]
-        starts.append((f"jitter{k}", base + rng.normal(0.0, 1.0, n) * cfg.step_scale))
+        starts.append((f"jitter{k}", base + rng.normal(0.0, 1.0, n) * _STEP_SCALE))
 
     if all(v == 0.0 for v in baselines.values()):
         # degenerate objective (zero spectrum): retain the (projected) UDD baseline

@@ -239,10 +239,11 @@ def _substream_phases(seed, count, size):
         yield rng.uniform(0.0, 2.0 * np.pi, size)
 
 
-def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed, n_modes=None):
+def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
     """W via synthesized Gaussian noise: mean of cos(2*sqrt(2)*phase).
 
-    Noise is a sum of n_modes cosines with amplitudes sqrt(S(omega_k)
+    Noise is a sum of max(1024, 4 (hi - lo) tau / 2 pi) cosines over the
+    spectrum's power support [lo, hi], with amplitudes sqrt(S(omega_k)
     d_omega / pi) and independent uniform phases; each realization uses
     its own jump-ahead substream of a PCG64 stream, so results for the
     first M realizations are independent of the total count. Needs at
@@ -254,8 +255,7 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed, n_modes=None):
     lo, hi = spec.power_support(1e-9)
     if hi <= lo:
         return MCResult(1.0, 0.0, int(n_realizations), int(seed))
-    if n_modes is None:
-        n_modes = max(1024, int(np.ceil(4.0 * (hi - lo) * tau / (2.0 * np.pi))))
+    n_modes = max(1024, int(np.ceil(4.0 * (hi - lo) * tau / (2.0 * np.pi))))
     d_om = (hi - lo) / n_modes
     om = lo + (np.arange(n_modes) + 0.5) * d_om
     amps = np.sqrt(eval_spectrum(spec, om) * d_om / np.pi)

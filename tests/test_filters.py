@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddfilter import (
-    WidthOverflow,
+    GapViolation,
     filter_value,
     filter_value_finite,
     make_canonical,
@@ -86,26 +86,27 @@ def test_rejects_negative_u_and_nonzero_width():
 def test_finite_width_zero_is_ideal():
     seq = make_canonical("udd", 5)
     u = np.logspace(-2, 2, 50)
-    assert np.array_equal(filter_value_finite(seq, u, r=0.0), filter_value(seq, u))
+    zero = make_custom(seq.deltas, width_ratio=0.0)
+    assert np.array_equal(filter_value_finite(zero, u), filter_value(seq, u))
 
 
 def test_finite_width_matches_cos_factor_form():
     """Interior phasors pick up cos(u r / 2); compare against that form."""
-    seq = make_canonical("udd", 4)
     r = 1e-3
+    seq = make_custom(make_canonical("udd", 4).deltas, width_ratio=r)
     u = np.linspace(0.5, 30.0, 301)
     n = seq.n
     y = 1.0 + (-1.0) ** (n + 1) * np.exp(1j * u)
     for j, d in enumerate(seq.deltas, start=1):
         y = y + 2.0 * (-1.0) ** j * np.cos(u * r / 2.0) * np.exp(1j * d * u)
-    assert np.allclose(filter_value_finite(seq, u, r=r), np.abs(y) ** 2,
+    assert np.allclose(filter_value_finite(seq, u), np.abs(y) ** 2,
                        rtol=1e-8, atol=1e-12)
 
 
 def test_finite_width_overflow():
-    seq = make_canonical("cpmg", 10)
-    with pytest.raises(WidthOverflow):
-        filter_value_finite(seq, 1.0, r=0.11)
+    """Pulses that do not fit (r n >= 1) are refused when the sequence is built."""
+    with pytest.raises(GapViolation):
+        make_custom(make_canonical("cpmg", 10).deltas, width_ratio=0.11)
 
 
 def test_modified_filter_requires_positive_omega():
@@ -352,3 +353,68 @@ def test_non_uniform_grids_take_the_node_path(family, n, seed, width, size, wher
     for grid in (u[::-1], moved):
         assert filters._fold(grid, seq.n + 1) is None
         assert np.array_equal(filter_value_finite(seq, grid), _node_filter(seq, grid))
+
+
+def _widest(deltas):
+    """The largest width ratio whose pulse windows delta_j -+ r/2 still
+    leave every free segment open: r n -> 1 for evenly spaced pulses."""
+    d = np.asarray(deltas)
+    return float(min(2.0 * d[0], np.diff(d).min(initial=1.0), 2.0 * (1.0 - d[-1])))
+
+
+def _cos_factor_mp(seq, u, mpmath):
+    """F(u) = |1 + (-1)^(n+1) e^(iu) + 2 sum_j (-1)^j cos(u r/2) e^(i delta_j u)|^2
+    in 40-digit arithmetic at the double positions, width and u."""
+    n, r = seq.n, seq.width_ratio
+    out = np.empty(np.size(u))
+    with mpmath.workdps(40):
+        deltas = [mpmath.mpf(float(d)) for d in seq.deltas]
+        half = mpmath.mpf(r) / 2
+        for i, x in enumerate(np.ravel(u)):
+            x = mpmath.mpf(float(x))
+            inner = sum((-1) ** j * mpmath.expj(x * d) for j, d in enumerate(deltas, start=1))
+            z = 1 + (-1) ** (n + 1) * mpmath.expj(x) + 2 * mpmath.cos(x * half) * inner
+            out[i] = float(abs(z) ** 2)
+    return out.reshape(np.shape(u))
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["cpmg", "pdd", "udd", "custom"]),
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.one_of(st.just(0.0), st.just(0.99), st.floats(0.0, 0.99)),
+       top=st.floats(1e-3, 1.0), start=st.one_of(st.just(0.0), st.floats(0.0, 0.95)))
+@example(family="cpmg", n=10, seed=0, fill=0.99, top=1.0, start=0.0)    # r n = 0.99
+@example(family="udd", n=40, seed=0, fill=0.99, top=0.3, start=0.5)
+def test_wide_pulses_match_the_cos_factor_form(family, n, seed, fill, top, start):
+    """Pulses up to 0.99 of the widest that fit, on the node path, the
+    panel path and a folded linspace, against the cos-factor form in
+    40-digit arithmetic. Each path keeps z = F^(1/2)/2 to Delta = 128 eps
+    (n + 1)(u + 1), with u the top of the panel or grid, whose points a
+    path may move by 64 eps u. So |F - F_exact| <= 4 Delta (F^(1/2) + Delta)."""
+    mpmath = pytest.importorskip("mpmath")
+    base = _family(family, n, seed, 0.0)
+    seq = make_custom(base.deltas, width_ratio=fill * _widest(base.deltas))
+    eps = np.finfo(float).eps
+
+    def check(u, *paths):
+        """Each (F, u_top) of paths against the exact F at about 1,500 / (n + 2)
+        evenly picked points of u, ends included."""
+        pick = np.unique(np.linspace(0, u.size - 1, max(8, 1500 // (n + 2))).round().astype(int))
+        want = _cos_factor_mp(seq, u.ravel()[pick], mpmath)
+        for got, u_top in paths:
+            delta = 128.0 * eps * (n + 1) * (np.broadcast_to(u_top, u.shape).ravel()[pick] + 1.0)
+            assert np.all(np.abs(got.ravel()[pick] - want) <= 4.0 * delta * (np.sqrt(want) + delta))
+
+    u_max = top * 4.0 * np.pi * (n + 1)
+    u = _panels(start * u_max, u_max, max(2, -(-filters._SHARED_MIN // (n + 1))), [False])
+    calls = []
+    node_z = filters._node_z
+    with mock.patch.object(filters, "_node_z",
+                           side_effect=lambda d, uu, r: calls.append(uu.shape[0]) or node_z(d, uu, r)):
+        panel = filter_value_finite(seq, u, nodes=NODES)
+    assert calls == []      # one panel width: every panel on the shared table
+    check(u, (panel, u[:, -1:]), (filter_value_finite(seq, u), u))
+
+    grid = np.linspace(start * u_max, u_max, max(16, -(-filters._FOLD_MIN // (n + 1))))
+    assert filters._fold(grid, n + 1) is not None
+    check(grid, (filter_value_finite(seq, grid), grid[-1]))

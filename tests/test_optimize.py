@@ -329,12 +329,11 @@ def test_result_to_dict_shape():
     lambda: OptimizationConfig(min_gap_fraction=math.nan),
     lambda: OptimizationConfig(min_gap_fraction=-0.1),
     lambda: OptimizationConfig(tol=math.nan),
-    lambda: OptimizationConfig(step_scale=math.nan),
     lambda: OptimizationConfig(restarts=1.5),
     lambda: OptimizationConfig(max_iterations=0),
 ], ids=["ofdd-u-inf", "ofdd-u-nan", "ofdd-n-float", "badd-tau-inf", "badd-switch-nan",
         "badd-nmax-float", "lodd-n-float", "lodd-tau-inf", "area-u-inf", "gap-nan",
-        "gap-negative", "tol-nan", "step-nan", "restarts-float", "maxiter-0"])
+        "gap-negative", "tol-nan", "restarts-float", "maxiter-0"])
 def test_optimizer_entry_points_reject_bad_input(call):
     with pytest.raises(ValueError):
         call()
