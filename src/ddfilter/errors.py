@@ -4,7 +4,19 @@ Every domain error derives from DDError so callers can catch them
 together. The CLI reports any of them, config mistakes (BadConfig)
 included, as a one-line JSON error with exit code 1; exit code 2 is
 argparse's, for malformed command lines.
+
+Malformed arguments that are not domain errors (a count that is not an
+integer, say) raise ValueError; `_integer` is the one check for counts.
 """
+
+import numbers
+
+
+def _integer(value, name, least):
+    """value as an int, or ValueError unless it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class DDError(Exception):

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .coherence import _chi
-from .errors import DDError, Infeasible, NotConverged
+from .errors import DDError, Infeasible, NotConverged, _integer
 from .filters import PAIR_ROUNDING, filter_value, pair_plan
 from .oracle import _grid_cos_sum
 from .quadrature import QuadratureConfig, build_edges, integrate, panel_nodes
@@ -53,13 +53,6 @@ class OptimizationConfig:
         gmin = self.min_gap_fraction
         if gmin is not None and not (isinstance(gmin, numbers.Real) and 0.0 <= gmin < 1.0):
             raise ValueError(f"min_gap_fraction must be in [0, 1), got {gmin!r}")
-
-
-def _integer(value, name, least):
-    """value as an int, or ValueError unless it is an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _positive(value, name):

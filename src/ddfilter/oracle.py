@@ -18,29 +18,41 @@ Bailey, J. Supercomputing 4, 23 (1990)). A frequency costs about 2 sqrt(N)
 complex products and 2 log2(sqrt(N)) exponentials, and blocks of
 frequencies keep memory bounded at any tau.
 
+A Monte Carlo realization's phase is a sum of cosines over the noise
+modes, sum_k a_k cos(theta_k + psi_k), with the mode amplitudes and the
+toggling transform folded into a_k and psi_k once per call. Rows of
+uniform phases theta, one jump-ahead substream per realization, are
+filled in blocks of at most _PHASOR_BLOCK elements; each block is one
+in-place cosine pass and one matrix-vector product, so memory stays
+bounded in the number of realizations as well as in tau.
+
 The toggling function is stored as exact per-cell time averages: a cell
 containing a sign flip (or a finite-width pulse window, where the
 toggling value is zero) gets the integral of the piecewise-constant
 function over the cell divided by the cell width. Cells away from flips
-hold plain +-1. Averaging inside flip cells removes the grid-quantization
-bias of nearest-cell flips, which otherwise dominates the comparison for
+hold plain +-1 (or 0 inside a window). The integrals are taken in array
+passes over the window edges, each measured from its cell's start.
+Averaging inside flip cells removes the grid-quantization bias of
+nearest-cell flips, which otherwise dominates the comparison for
 strongly clustered sequences.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .coherence import chi
-from .errors import UnderResolved
+from .errors import UnderResolved, _integer
 from .quadrature import QuadratureConfig, build_edges, panel_nodes
 from .sequences import PulseSequence, min_gap
 from .spectra import eval_spectrum
 
 KAPPA = 2.0          # chi = kappa * (quadratic form); phase variance = chi/2
 MC_PHASE = 2.0 * np.sqrt(2.0)  # cos(MC_PHASE * phi) averages to e^(-chi)
-_PHASOR_BLOCK = 1 << 20  # complex elements of A and B together per omega block
+_PHASOR_BLOCK = 1 << 20  # elements per block: of A and B together per omega
+                         # block, and of the phases per realization block
 
 
 class SamplingVector(NamedTuple):
@@ -65,7 +77,7 @@ def sampling_vector(seq, tau, n_steps):
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
-    n_steps = int(n_steps)
+    n_steps = _integer(n_steps, "n_steps", 1)
     if n_steps < 8:
         raise UnderResolved("need at least 8 cells")
     dt = tau / n_steps
@@ -77,32 +89,30 @@ def sampling_vector(seq, tau, n_steps):
     if seq.n == 0:
         return SamplingVector(np.ones(n_steps), dt, amp, tau)
 
-    pulses = np.asarray(seq.deltas, dtype=float) * tau
-    w = seq.width_ratio * tau
-    starts = np.clip(pulses - 0.5 * w, 0.0, tau)
-    ends = np.clip(pulses + 0.5 * w, 0.0, tau)
-
-    def value_at(t):
-        # sign after the windows ended before t; zero inside a window
-        ended = np.searchsorted(ends, t, side="right")
-        entered = np.searchsorted(starts, t, side="right")
-        v = (-1.0) ** ended
-        return np.where(entered > ended, 0.0, v)
-
-    mids = (np.arange(n_steps) + 0.5) * dt
-    y = value_at(mids)
-
-    # exact time averages in every cell touched by a window edge
+    # breakpoints: each window's start, then its end (equal for ideal
+    # pulses), clipped to the grid; the toggling value steps from (-1)^j
+    # to 0 to -(-1)^j across window j, by jumps of -(-1)^j each
     edges = np.arange(n_steps + 1) * dt
-    touched = sorted({min(int(p / dt), n_steps - 1)
-                      for p in np.concatenate([starts, ends])})
-    for k in touched:
-        a, b = edges[k], edges[k + 1]
-        inner = np.concatenate([starts[(starts > a) & (starts < b)],
-                                ends[(ends > a) & (ends < b)]])
-        cuts = np.concatenate([[a], np.sort(inner), [b]])
-        seg_mid = 0.5 * (cuts[:-1] + cuts[1:])
-        y[k] = float((value_at(seg_mid) * np.diff(cuts)).sum() / dt)
+    w = seq.width_ratio * tau
+    centers = np.asarray(seq.deltas, dtype=float) * tau
+    cuts = np.clip(np.column_stack([centers - 0.5 * w, centers + 0.5 * w]).ravel(),
+                   0.0, edges[-1])
+    jumps = np.repeat(-(-1.0) ** np.arange(seq.n), 2)
+    after = 1.0 + np.cumsum(jumps)          # value just after each breakpoint
+    cell = np.minimum(np.searchsorted(edges, cuts, side="right") - 1, n_steps - 1)
+
+    # a cell without breakpoints holds the value after the last earlier one
+    y = np.concatenate([[1.0], after])[np.searchsorted(cell, np.arange(n_steps))]
+
+    # a cell with breakpoints holds its exact time average: with cell start
+    # a, end b and breakpoints c_i, the integral is
+    # v(b) (b - a) - sum_i jump_i (c_i - a); c_i - a is exact (Sterbenz),
+    # where differences of running integrals lose log2(N) bits
+    first = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
+    last = np.concatenate([first[1:], [cuts.size]]) - 1
+    k = cell[first]
+    inside = np.add.reduceat(jumps * (cuts - edges[cell]), first)
+    y[k] = (after[last] * (edges[k + 1] - edges[k]) - inside) / dt
     return SamplingVector(y, dt, amp, tau)
 
 
@@ -231,7 +241,7 @@ def _substream_phases(seed, count, size):
     """uniform(0, 2 pi, size) from Generator(PCG64(seed).jumped(i)) for
     i < count, drawn by one generator whose state is reset and advanced
     i jumps each time instead of a new generator per i."""
-    bits = np.random.PCG64(int(seed))
+    bits = np.random.PCG64(seed)
     rng, start = np.random.Generator(bits), bits.state
     for i in range(count):
         bits.state = start
@@ -244,40 +254,51 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
 
     Noise is a sum of max(1024, 4 (hi - lo) tau / 2 pi) cosines over the
     spectrum's power support [lo, hi], with amplitudes sqrt(S(omega_k)
-    d_omega / pi) and independent uniform phases; each realization uses
-    its own jump-ahead substream of a PCG64 stream, so results for the
-    first M realizations are independent of the total count. Needs at
-    least two realizations, so that the standard error exists.
+    d_omega / pi) and independent uniform phases theta; each realization
+    uses its own jump-ahead substream of a PCG64 stream, so results for
+    the first M realizations are independent of the total count. With
+    y_hat the toggling function's transform at the modes, a realization's
+    phase is sum_k amps_k |y_hat_k| cos(theta_k + arg y_hat_k), so each
+    block of realizations (at most _PHASOR_BLOCK phases, or one row) takes
+    one cosine pass and one matrix-vector product. Needs at least two
+    realizations, so that the standard error exists.
     """
-    if int(n_realizations) < 2:
-        raise ValueError(f"n_realizations must be >= 2, got {n_realizations!r}")
+    n_realizations = _integer(n_realizations, "n_realizations", 2)
+    seed = _integer(seed, "seed", 0)
     sv = sampling_vector(seq, tau, n_steps)
     lo, hi = spec.power_support(1e-9)
     if hi <= lo:
-        return MCResult(1.0, 0.0, int(n_realizations), int(seed))
+        return MCResult(1.0, 0.0, n_realizations, seed)
     n_modes = max(1024, int(np.ceil(4.0 * (hi - lo) * tau / (2.0 * np.pi))))
     d_om = (hi - lo) / n_modes
     om = lo + (np.arange(n_modes) + 0.5) * d_om
     amps = np.sqrt(eval_spectrum(spec, om) * d_om / np.pi)
     if not np.any(amps > 0):
-        return MCResult(1.0, 0.0, int(n_realizations), int(seed))
+        return MCResult(1.0, 0.0, n_realizations, seed)
 
     # cell midpoints (k + 1/2) dt: the grid transform times e^(i omega dt/2)
     y_hat = (sv.amplitude * sv.dt * np.exp(0.5j * om * sv.dt)
              * _grid_transform(sv.values, om, sv.dt))
-    re, im = amps * y_hat.real, amps * y_hat.imag
+    a, psi = amps * np.abs(y_hat), np.angle(y_hat)
 
-    cos_vals = np.empty(int(n_realizations))
-    for i, theta in enumerate(_substream_phases(seed, cos_vals.size, n_modes)):
-        phi = float(np.cos(theta) @ re - np.sin(theta) @ im)
-        cos_vals[i] = np.cos(MC_PHASE * phi)
+    rows = max(1, _PHASOR_BLOCK // n_modes)
+    row = np.dtype((float, n_modes))
+    phases = _substream_phases(seed, n_realizations, n_modes)
+    phi = np.empty(n_realizations)
+    for i in range(0, n_realizations, rows):
+        count = min(rows, n_realizations - i)
+        theta = np.fromiter(itertools.islice(phases, count), row, count)
+        theta += psi
+        phi[i:i + count] = np.cos(theta, out=theta) @ a
+    cos_vals = np.cos(MC_PHASE * phi)
     w = float(cos_vals.mean())
     stderr = float(cos_vals.std(ddof=1) / np.sqrt(cos_vals.size))
-    return MCResult(w, stderr, int(n_realizations), int(seed))
+    return MCResult(w, stderr, n_realizations, seed)
 
 
 def oracle_report(seq, spec, tau, n_steps, n_realizations=0, seed=0, cfg=None):
     """Side-by-side frequency/time-domain comparison as a plain dict."""
+    n_realizations = _integer(n_realizations, "n_realizations", 0)
     chi_freq = chi(seq, spec, tau, cfg)
     chi_gram = grammian_chi(seq, spec, tau, n_steps, cfg)
     denom = abs(chi_freq) if chi_freq != 0 else 1.0

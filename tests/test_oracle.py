@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from ddfilter import (
     sampling_vector,
 )
 from ddfilter import oracle
+from ddfilter.spectra import eval_spectrum
 
 TAU = 1.0
 OHMIC = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)
@@ -123,6 +125,71 @@ def test_sampling_vector_fid_and_width():
     assert abs(ideal.values.sum() * ideal.dt) < 1e-12
 
 
+def _exact_flip_cells(seq, tau, n):
+    """Exact averages over the cells [k dt, (k+1) dt] holding a window edge.
+
+    Rational arithmetic on the float edges and breakpoints: every cut
+    splits a cell into pieces whose toggling value is read at their
+    midpoints.
+    """
+    dt = tau / n
+    w = seq.width_ratio * tau
+    cuts = []
+    for d in seq.deltas:
+        cuts += [Fraction(max(d * tau - 0.5 * w, 0.0)),
+                 Fraction(min(d * tau + 0.5 * w, n * dt))]
+
+    def value(t):
+        v = 1
+        for j in range(seq.n):
+            if cuts[2 * j] < t < cuts[2 * j + 1]:
+                return 0
+            if t > cuts[2 * j + 1]:
+                v = (-1) ** (j + 1)
+        return v
+
+    out = {}
+    for p in cuts:
+        k = min(int(float(p) / dt), n - 1)
+        while k > 0 and Fraction(k * dt) > p:
+            k -= 1
+        while k < n - 1 and Fraction((k + 1) * dt) <= p:
+            k += 1
+        a, b = Fraction(k * dt), Fraction((k + 1) * dt)
+        pts = sorted({a, b} | {c for c in cuts if a < c < b})
+        out[k] = float(sum(value((lo + hi) / 2) * (hi - lo)
+                           for lo, hi in zip(pts[:-1], pts[1:])) / Fraction(dt))
+    return out
+
+
+@pytest.mark.parametrize("seq, tau, n", [
+    (make_canonical("udd", 16), 1.0, 32768),
+    (make_canonical("cpmg", 16), 0.3, 32768),
+    (make_canonical("cpmg", 2), 2.7, 1000),
+    # one window over 1,024 cells
+    (make_custom([0.5], width_ratio=0.25), 1.0, 4096),
+    # each window's start and end in one cell
+    (make_custom([0.2, 0.5, 0.8], width_ratio=1e-5), 1.3, 1024),
+    # windows starting in the first cell and ending in the last
+    (make_custom([0.1, 0.9], width_ratio=0.199999), 1.0, 4096),
+    (make_custom([0.1, 0.9], width_ratio=0.199999), 0.7, 32768),
+])
+def test_sampling_vector_flip_cells_are_exact_averages(seq, tau, n):
+    sv = sampling_vector(seq, tau, n)
+    want = _exact_flip_cells(seq, tau, n)
+    flips = np.array(sorted(want))
+    assert np.abs(sv.values[flips] - [want[k] for k in flips]).max() <= 1e-12
+    # every other cell holds the toggling value at its midpoint
+    mids = (np.arange(n) + 0.5) * sv.dt
+    w = seq.width_ratio * tau
+    centers = np.array(seq.deltas) * tau
+    ended = (mids[:, None] > centers + 0.5 * w).sum(axis=1)
+    entered = (mids[:, None] > centers - 0.5 * w).sum(axis=1)
+    plain = np.where(entered > ended, 0.0, (-1.0) ** ended)
+    rest = np.setdiff1d(np.arange(n), flips)
+    assert np.array_equal(sv.values[rest], plain[rest])
+
+
 def test_sampling_vector_under_resolved():
     with pytest.raises(UnderResolved):
         sampling_vector(make_canonical("udd", 20), TAU, 64)
@@ -194,6 +261,40 @@ def test_monte_carlo_phases_are_the_jumped_substreams(seed):
     assert monte_carlo_w(make_canonical("cpmg", 4), OHMIC, TAU, 300, 1024, seed) == want
 
 
+def _loop_monte_carlo(seq, spec, tau, m, n_steps, seed):
+    """W and stderr by the per-realization formula
+    phi = cos(theta) @ re - sin(theta) @ im, on a dense mode transform."""
+    sv = sampling_vector(seq, tau, n_steps)
+    lo, hi = spec.power_support(1e-9)
+    n_modes = max(1024, int(np.ceil(4.0 * (hi - lo) * tau / (2.0 * np.pi))))
+    d_om = (hi - lo) / n_modes
+    om = lo + (np.arange(n_modes) + 0.5) * d_om
+    amps = np.sqrt(eval_spectrum(spec, om) * d_om / np.pi)
+    mids = (np.arange(n_steps) + 0.5) * sv.dt
+    y_hat = sv.amplitude * sv.dt * (np.exp(1j * np.outer(om, mids)) @ sv.values)
+    re, im = amps * y_hat.real, amps * y_hat.imag
+    vals = []
+    for theta in oracle._substream_phases(seed, m, n_modes):
+        vals.append(np.cos(oracle.MC_PHASE * (np.cos(theta) @ re - np.sin(theta) @ im)))
+    vals = np.array(vals)
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(m)
+
+
+def test_monte_carlo_blocks_match_the_per_realization_formula(monkeypatch):
+    """The blocked cosine pass reproduces the per-realization sum over
+    several realization blocks with a partial last one."""
+    seq, m = make_canonical("cpmg", 4), 50
+    want_w, want_err = _loop_monte_carlo(seq, OHMIC, TAU, m, 1024, 5)
+    full = monte_carlo_w(seq, OHMIC, TAU, m, 1024, 5)
+    monkeypatch.setattr(oracle, "_PHASOR_BLOCK", 16 * 1024)   # 16 rows of 1,024 modes
+    small = monte_carlo_w(seq, OHMIC, TAU, m, 1024, 5)
+    for mc in (full, small):
+        assert mc.w == pytest.approx(want_w, rel=1e-12, abs=0)
+        assert mc.stderr == pytest.approx(want_err, rel=1e-12, abs=0)
+    assert small.w == pytest.approx(full.w, rel=1e-14, abs=0)
+    assert small.stderr == pytest.approx(full.stderr, rel=1e-14, abs=0)
+
+
 def test_monte_carlo_quasi_static_echo():
     """Noise far slower than the sequence cannot dephase an echo."""
     slow = WhiteBand(level=0.02, omega_hi=0.01)
@@ -230,6 +331,18 @@ def test_monte_carlo_memory_does_not_grow_with_tau():
     assert peak < 100e6
 
 
+def test_monte_carlo_memory_does_not_grow_with_realizations():
+    """5,000 realizations of 1,024 modes: an unblocked phase matrix is 41 MB."""
+    tracemalloc.start()
+    try:
+        mc = monte_carlo_w(make_canonical("cpmg", 4), OHMIC, TAU, 5000, 1024, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc.n_realizations == 5000 and 0.0 < mc.stderr
+    assert peak < 20e6
+
+
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, 0.0])
 def test_oracle_rejects_bad_tau(tau):
     seq = make_canonical("cpmg", 2)
@@ -245,3 +358,22 @@ def test_oracle_rejects_bad_tau(tau):
 def test_monte_carlo_needs_two_realizations(m):
     with pytest.raises(ValueError, match="n_realizations"):
         monte_carlo_w(make_canonical("cpmg", 2), OHMIC, TAU, m, 1024, seed=0)
+
+
+_SEQ = make_canonical("cpmg", 2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: sampling_vector(_SEQ, TAU, v), "n_steps"),
+    (lambda v: grammian_chi(_SEQ, OHMIC, TAU, v), "n_steps"),
+    (lambda v: monte_carlo_w(_SEQ, OHMIC, TAU, 10, v, seed=0), "n_steps"),
+    (lambda v: monte_carlo_w(_SEQ, OHMIC, TAU, v, 1024, seed=0), "n_realizations"),
+    (lambda v: monte_carlo_w(_SEQ, OHMIC, TAU, 10, 1024, seed=v), "seed"),
+    (lambda v: oracle_report(_SEQ, OHMIC, TAU, v), "n_steps"),
+    (lambda v: oracle_report(_SEQ, OHMIC, TAU, 1024, v), "n_realizations"),
+    (lambda v: oracle_report(_SEQ, OHMIC, TAU, 1024, 10, seed=v), "seed"),
+])
+@pytest.mark.parametrize("value", [1024.7, 2.7, 1024.0, np.float64(16.0), True, "1024", -1])
+def test_oracle_rejects_non_integer_counts(call, name, value):
+    with pytest.raises(ValueError, match=name):
+        call(value)
