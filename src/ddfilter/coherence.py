@@ -59,7 +59,6 @@ from .errors import CurveFailure, ToleranceNotMet
 from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
                       filter_value_finite, pair_plan)
 from .quadrature import NODES, QuadratureConfig, build_edges, integrate_batch
-from .sequences import make_custom
 from .spectra import effective_support
 
 
@@ -80,31 +79,27 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
-    return _chi(seq.deltas, seq.width_ratio, spec, tau, cfg or QuadratureConfig(),
-                full_output, seq)
+    return _chi(seq, spec, tau, cfg or QuadratureConfig(), full_output)
 
 
-def _chi(deltas, width_ratio, spec, tau, cfg, full_output=False, seq=None):
-    """chi at valid positions (an array from the optimizer objectives); a
-    PulseSequence is built, when seq is None, only for quadrature."""
+def _chi(seq, spec, tau, cfg, full_output=False):
+    """chi without the public entry point's check of tau."""
     series = False
     if spec.structure_function is not None:
-        value, bound, done, series = _pairwise(pair_plan(len(deltas), width_ratio), deltas,
+        value, bound, done, series = _pairwise(pair_plan(seq.n, seq.width_ratio), seq.deltas,
                                                spec, tau, cfg)
         if done:
             if full_output:
                 return value, {"path": "pairwise", "error_estimate": bound}
             return value
-    if seq is None:
-        seq = make_custom(deltas, width_ratio)
     return _chi_quadrature(seq, spec, tau, cfg, full_output, series)
 
 
 def _pairwise(plan, deltas, spec, tau, cfg):
     """(chi, rounding bound B, whether the pairwise value meets the tolerance,
     whether quadrature should take the stop-band series) at a scalar tau, or
-    arrays of the four at a column of taus (one structure-function call on
-    the taus x pairs block)."""
+    arrays of the four at a column of taus or at rows of positions (one
+    structure-function call on each taus x pairs or rows x pairs block)."""
     total, magnitude = plan.sums(deltas, lambda lag: spec.structure_function(tau * lag))
     value, bound = -2.0 * total + 0.0, 2.0 * PAIR_ROUNDING * magnitude
     return value, bound, bound <= 0.1 * cfg.rel_tol * value, bound >= abs(value)
@@ -286,8 +281,7 @@ def coherence_curve(source, spec, tau_grid, cfg=None):
         try:
             routes = _pairwise_routes(seq, spec, taus[idx], cfg)
         except Exception:  # each tau reports its own failure
-            routes = [_attempt(lambda i=i: _chi(seq.deltas, seq.width_ratio, spec, taus[i],
-                                                 cfg, True, seq)) for i in idx]
+            routes = [_attempt(lambda i=i: _chi(seq, spec, taus[i], cfg, True)) for i in idx]
         for i, route in zip(idx, routes):
             if isinstance(route, (tuple, Exception)):
                 (failures if isinstance(route, Exception) else results)[i] = route

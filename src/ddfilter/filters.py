@@ -100,8 +100,8 @@ class _PairPlan:
     """The pairs of n pulses at one width ratio, row-major j < k in blocks of
     about _PAIR_BLOCK: slots of t_j and t_k, c_j c_k and o_k - o_j. Up to
     _PLAN_PAIRS pairs the blocks are kept, above they are rebuilt per sum.
-    taus_per_sum is how many taus one sum may take in a column while its
-    taus x pairs block stays within about _PAIR_BLOCK."""
+    taus_per_sum is how many taus (or rows of positions) one sum may take
+    while its taus x pairs block stays within about _PAIR_BLOCK."""
 
     def __init__(self, n, width_ratio):
         self.slots, self.offsets, self.c = _switching_layout(n, width_ratio)
@@ -123,18 +123,30 @@ class _PairPlan:
     def sums(self, deltas, kernel):
         """pair_sums' two sums at positions deltas, each term computed as
         (c_j c_k) K((a_k - a_j) + (o_k - o_j)). A kernel that broadcasts the
-        lags against a column of taus gives one pair of sums per tau (arrays);
-        otherwise they are floats."""
-        p = np.empty(self.slots[-1] + 1)        # (0, deltas, 1)
-        p[0], p[1:-1], p[-1] = 0.0, deltas, 1.0
-        total = magnitude = 0.0
-        for js, ks, cc, lag_o in self._build() if self._kept is None else self._kept:
-            w = cc * kernel((p[ks] - p[js]) + lag_o)
-            total += np.add.reduce(w, -1)
-            magnitude += np.add.reduce(np.abs(w), -1)
+        lags against a column of taus gives one pair of sums per tau (arrays),
+        and so does a (rows, n) array of positions per row, taken
+        taus_per_sum rows at a time; otherwise they are floats."""
+        deltas = np.asarray(deltas, dtype=float)
+        if deltas.ndim == 2:
+            step = self.taus_per_sum
+            parts = [self._sums(deltas[i:i + step], kernel) for i in range(0, len(deltas), step)]
+            return tuple(np.concatenate(s) for s in zip(*parts))
+        total, magnitude = self._sums(deltas, kernel)
         if total.ndim:
             return total, magnitude
         return float(total), float(magnitude)
+
+    def _sums(self, deltas, kernel):
+        p = np.empty(deltas.shape[:-1] + (self.slots[-1] + 1,))     # (0, deltas, 1)
+        p[..., 0], p[..., 1:-1], p[..., -1] = 0.0, deltas, 1.0
+        total = magnitude = 0.0
+        for js, ks, cc, lag_o in self._build() if self._kept is None else self._kept:
+            # take keeps a block of rows C-ordered (p[:, ks] is Fortran-ordered),
+            # so the reductions below sum each row pairwise, as for one row
+            w = cc * kernel((p.take(ks, -1) - p.take(js, -1)) + lag_o)
+            total += np.add.reduce(w, -1)
+            magnitude += np.add.reduce(np.abs(w), -1)
+        return total, magnitude
 
 
 pair_plan = functools.lru_cache(maxsize=16)(_PairPlan)    # pair_plan(n, width_ratio)

@@ -8,16 +8,19 @@ All three share one engine: positions are parameterized by n+1 positive
 gaps summing to 1 via an additive log-ratio transform (x in R^n maps
 bijectively onto the open simplex interior), which removes the ordering
 constraint; Nelder-Mead runs in x-space from canonical-family starts
-plus seeded jitter. A minimum-gap constraint g_i >= gmin becomes an
-affine squeeze of the simplex, and infeasible starting gaps are first
-projected (Euclidean) onto the constrained set.
+plus seeded jitter, all starts in lockstep (minimize): one objective call
+per simplex step takes every running start's point. A minimum-gap
+constraint g_i >= gmin becomes an affine squeeze of the simplex, and
+infeasible starting gaps are first projected (Euclidean) onto the
+constrained set.
 
-The objectives map a position array straight to a value, with no
-PulseSequence per evaluation: they raise make_custom's DDError for
-positions it rejects (the engine scores those inf), and the pairwise sums
-run on filters.pair_plan, built once per pulse count. Only a quadrature
-fallback (pairwise rounding bound too large, or a spectrum without a
-structure function) and the final result build a sequence.
+The objectives map a (rows, n) position array straight to one value per
+row, with no PulseSequence per evaluation: rows that make_custom would
+reject score inf, and the pairwise sums run on filters.pair_plan, built
+once per pulse count. Only a quadrature fallback (pairwise rounding bound
+too large, or a spectrum without a structure function) and the final
+result build a sequence; a DDError it raises propagates, or scores inf
+in the search.
 """
 
 import functools
@@ -26,21 +29,19 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .coherence import _chi
+from .coherence import _chi_quadrature, _pairwise
 from .errors import DDError, Infeasible, NotConverged, _integer
 from .filters import PAIR_ROUNDING, filter_value, pair_plan
 from .oracle import _grid_cos_sum
 from .quadrature import QuadratureConfig, build_edges, integrate, panel_nodes
-from .sequences import (PulseSequence, _validate, canonical_deltas, make_custom,
-                        min_gap)
+from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     restarts: int = 2              # jittered starts beyond the 3 canonical seeds
-    max_iterations: int = None     # per-start Nelder-Mead cap (None = solver default)
+    max_iterations: int = None     # per-start Nelder-Mead cap (None = 200 n)
     tol: float = 1e-10             # objective convergence tolerance (fatol)
     seed: int = 0
     min_gap_fraction: float = None  # optional constraint: every gap >= this
@@ -81,7 +82,7 @@ class OptimizationResult:
 # ------------------------------------------------------- gap parameterization
 
 def gaps_to_deltas(gaps):
-    return np.cumsum(gaps)[:-1]
+    return np.cumsum(gaps, axis=-1)[..., :-1]
 
 
 def deltas_to_gaps(deltas):
@@ -90,11 +91,13 @@ def deltas_to_gaps(deltas):
 
 
 def alr_to_gaps(x):
-    """R^n -> interior of the (n+1)-gap simplex, shift-invariant softmax."""
-    z = np.concatenate([np.asarray(x, dtype=float), [0.0]])
-    z = z - z.max()
+    """R^n -> interior of the (n+1)-gap simplex, shift-invariant softmax
+    (row by row on an array of points)."""
+    x = np.asarray(x, dtype=float)
+    z = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    z = z - z.max(-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(-1, keepdims=True)
 
 
 def gaps_to_alr(gaps):
@@ -121,13 +124,14 @@ def project_gaps(gaps, gmin):
 
 
 def _squeeze(raw_gaps, gmin):
-    """Map the free simplex onto {g >= gmin, sum = 1} (smooth, bijective)."""
-    m = raw_gaps.size
+    """Map the free simplex onto {g >= gmin, sum = 1} (smooth, bijective),
+    row by row."""
+    m = raw_gaps.shape[-1]
     return gmin + (1.0 - m * gmin) * raw_gaps
 
 
 def _unsqueeze(gaps, gmin):
-    m = gaps.size
+    m = gaps.shape[-1]
     scale = 1.0 - m * gmin
     return (gaps - gmin) / scale
 
@@ -140,18 +144,46 @@ _RESOLUTION = 8          # panels per 2 pi of the fastest cosine: area fallback,
 _KERNEL_POINTS = 40001   # uniform lags 0, 1/40000, ..., 1 of the BADD kernel table
 
 
-def _chi_objective(spec, tau):
-    """chi(make_custom(deltas), spec, tau, _OBJ_QUAD) from the position
-    array: the pairwise route needs no PulseSequence, quadrature builds one."""
-    def f(deltas):
+def _rows(score):
+    """An objective over a (rows, n) position array: score(valid rows) on
+    the rows make_custom accepts (0 < d_1 < ... < d_n < 1) and inf on the
+    rest. A DDError from a row raises, or scores inf with
+    raise_on_fail=False (the search)."""
+    def f(deltas, raise_on_fail=True):
         d = np.asarray(deltas, dtype=float)
-        _validate(d, 0.0)
-        return _chi(d, 0.0, spec, tau, _OBJ_QUAD)
+        ends = np.zeros((len(d), 1))
+        p = np.concatenate([ends, d, ends + 1.0], axis=1)
+        valid = (p[:, 1:] > p[:, :-1]).all(1)
+        out = np.full(len(d), np.inf)
+        if valid.any():
+            out[valid] = score(d[valid], raise_on_fail)
+        return out
     return f
 
 
+def _chi_objective(spec, tau):
+    """chi(make_custom(d), spec, tau, _OBJ_QUAD) per row d: the pairwise
+    route takes every row in one sum, quadrature builds a sequence per row."""
+    def score(d, raise_on_fail):
+        value = np.empty(len(d))
+        done = series = np.zeros(len(d), dtype=bool)
+        if spec.structure_function is not None:
+            value, _bound, done, series = _pairwise(pair_plan(d.shape[1], 0.0), d, spec, tau,
+                                                    _OBJ_QUAD)
+        for i in np.flatnonzero(~done):
+            try:
+                value[i] = _chi_quadrature(make_custom(d[i]), spec, tau, _OBJ_QUAD,
+                                           series=bool(series[i]))
+            except DDError:
+                if raise_on_fail:
+                    raise
+                value[i] = np.inf
+        return value
+    return _rows(score)
+
+
 def _area_objective(u_max):
-    """Filter area on [0, u_max]: the exact pairwise sine sum
+    """Filter area on [0, u_max] per row: the exact pairwise sine sum
 
         int_0^U F(u) du = U sum_k c_k^2 + 2 sum_{j<k} c_j c_k sin(U dt_jk) / dt_jk,
 
@@ -166,27 +198,24 @@ def _area_objective(u_max):
     def edges():    # u_max / (2 pi / _RESOLUTION) panels, built on the first fallback
         return build_edges(0.0, u_max, max_panel=2.0 * np.pi / _RESOLUTION)
 
-    def f(deltas):
-        d = np.asarray(deltas, dtype=float)
-        _validate(d, 0.0)
-        plan = pair_plan(d.size, 0.0)
+    def score(d, _raise_on_fail):
+        plan = pair_plan(d.shape[1], 0.0)
         total, _mag = plan.sums(d, lambda lag: np.sin(u_max * lag) / lag)
         value = u_max * float(plan.c @ plan.c) + 2.0 * total
         bound = PAIR_ROUNDING * u_max * float(np.abs(plan.c).sum()) ** 2
-        if bound <= 0.1 * _AREA_QUAD.rel_tol * value:
-            return value
-        seq = make_custom(d)
-        value, _err, _np_ = integrate(lambda u: filter_value(seq, u), edges(), _AREA_QUAD,
-                                      raise_on_fail=False)
+        for i in np.flatnonzero(~(bound <= 0.1 * _AREA_QUAD.rel_tol * value)):
+            seq = make_custom(d[i])
+            value[i] = integrate(lambda u: filter_value(seq, u), edges(), _AREA_QUAD,
+                                 raise_on_fail=False)[0]
         return value
-    return f
+    return _rows(score)
 
 
 def filter_area(seq, u_max):
     """Area under the ideal F(u) from 0 to u_max (the OFDD objective)."""
     if seq.width_ratio != 0:
         raise ValueError("filter_area requires width_ratio 0 (the ideal filter)")
-    return _area_objective(u_max)(seq.deltas)
+    return float(_area_objective(u_max)([seq.deltas])[0])
 
 
 def _kernel_chi_objective(spec, tau):
@@ -209,37 +238,105 @@ def _kernel_chi_objective(spec, tau):
     table = (2.0 / np.pi) * _grid_cos_sum(spec.evaluate(om) / om ** 2 * wts, om,
                                           tau * lags[1], lags.size)
 
-    def f(deltas):
-        plan = pair_plan(len(deltas), 0.0)
-        total, _mag = plan.sums(deltas, lambda lag: np.interp(lag, lags, table))
+    def score(d, _raise_on_fail):
+        plan = pair_plan(d.shape[1], 0.0)
+        total, _mag = plan.sums(d, lambda lag: np.interp(lag, lags, table))
         return table[0] * float(plan.c @ plan.c) + 2.0 * total
-    return f
+    return _rows(score)
 
 
 # ---------------------------------------------------------------- core engine
 
 _STEP_SCALE = 0.3    # initial simplex step and start jitter in log-ratio space
+_XATOL = 1e-8        # Nelder-Mead's xatol: every vertex this close to the best
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5   # reflection, expansion, contraction, shrink
 
 
-def _nm_start(objective_x, x0, cfg):
-    n = x0.size
-    simplex = np.vstack([x0] + [x0 + _STEP_SCALE * np.eye(n)[i] for i in range(n)])
-    options = {"xatol": 1e-8, "fatol": cfg.tol, "initial_simplex": simplex,
-               "maxiter": cfg.max_iterations if cfg.max_iterations else 200 * n,
-               "maxfev": 10 ** 9}
-    return minimize(objective_x, x0, method="Nelder-Mead", options=options)
+def _sort(sim, fsim):
+    """Each start's vertices by value, best first (argsort per row, as SciPy)."""
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, order], fsim[rows, order]
+
+
+def minimize(objective, starts, cfg):
+    """Nelder-Mead from every row of starts (starts x n) at once.
+
+    Each start runs SciPy's Nelder-Mead step for step: the same
+    coefficients, branch order, sorts and counts, with the initial simplex
+    x0, x0 + _STEP_SCALE e_i, xatol _XATOL, fatol cfg.tol and maxiter
+    cfg.max_iterations (200 n when None), iterations counted from 1. A NaN
+    value fails every comparison, so it takes the else branches, as there.
+    objective maps a (rows, n) array of points to one value per row; a
+    step calls it once on the running starts' reflections, once on the
+    expansion and contraction points they need, and once on the vertices
+    of the starts that shrink. Returns per start a dict of SciPy's result
+    fields x, fun, nit, nfev and success.
+    """
+    starts = np.asarray(starts, dtype=float)
+    count, n = starts.shape
+    maxiter = cfg.max_iterations or 200 * n
+    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
+    sim[:, 1:] += _STEP_SCALE * np.eye(n)
+    fsim = objective(sim.reshape(-1, n)).reshape(count, n + 1)
+    for _ in range(2):          # SciPy sorts the first simplex twice
+        sim, fsim = _sort(sim, fsim)
+    nit, nfev = np.ones(count, dtype=int), np.full(count, n + 1)
+    running = nit < maxiter
+    while running.any():
+        idx = np.flatnonzero(running)
+        s, f = sim[idx], fsim[idx]
+        small = ((np.abs(s[:, 1:] - s[:, :1]).max((1, 2)) <= _XATOL)
+                 & (np.abs(f[:, :1] - f[:, 1:]).max(1) <= cfg.tol))
+        running[idx[small]] = False
+        idx, s, f = idx[~small], s[~small], f[~small]
+        if not idx.size:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = objective(xr)
+        expand = fxr < f[:, 0]
+        reflect = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~reflect & (fxr < f[:, -1])
+        inside = ~(expand | reflect | outside)
+        # each start's second point: expansion, outside or inside contraction
+        x2 = np.where(expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+                      np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                               (1 - _PSI) * xbar + _PSI * worst))
+        second = ~reflect
+        f2 = np.full(idx.size, np.nan)
+        if second.any():
+            f2[second] = objective(x2[second])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
+        shrink = (outside | inside) & ~take2
+        keep = ~shrink
+        s[keep, -1] = np.where(take2[:, None], x2, xr)[keep]
+        f[keep, -1] = np.where(take2, f2, fxr)[keep]
+        if shrink.any():
+            v, fv = s[shrink], f[shrink]
+            v[:, 1:] = v[:, :1] + _SIGMA * (v[:, 1:] - v[:, :1])
+            fv[:, 1:] = objective(v[:, 1:].reshape(-1, n)).reshape(-1, n)
+            s[shrink], f[shrink] = v, fv
+        nfev[idx] += 1 + second + n * shrink
+        nit[idx] += 1
+        sim[idx], fsim[idx] = _sort(s, f)
+        running[idx] = nit[idx] < maxiter
+    fun = fsim.min(1)
+    return [{"x": sim[i, 0], "fun": float(fun[i]), "nit": int(nit[i]), "nfev": int(nfev[i]),
+             "success": bool(nit[i] < maxiter)} for i in range(count)]
 
 
 def _optimize_core(objective, n, cfg, gmin=0.0):
     """Shared LODD/OFDD/BADD engine over n pulse positions.
 
-    objective maps a delta array to a scalar. Returns (best, deltas,
-    baselines): the best start across canonical starts and jittered
-    copies (the first of equals), its positions, and the objective at the
-    canonical starts. A constraint that leaves one feasible point returns
-    the uniform gaps; a zero objective at every canonical start (zero
-    spectrum) returns the UDD baseline, projected onto the constraint as
-    the baselines are, with best["degenerate"] set.
+    objective maps a (rows, n) position array to one value per row.
+    Returns (best, deltas, baselines): the best start across canonical
+    starts and jittered copies (the first of equals), its positions, and
+    the objective at the canonical starts. A constraint that leaves one
+    feasible point returns the uniform gaps; a zero objective at every
+    canonical start (zero spectrum) returns the UDD baseline, projected
+    onto the constraint as the baselines are, with best["degenerate"] set.
     """
     if gmin > 0 and (n + 1) * gmin > 1.0:
         raise Infeasible(
@@ -247,25 +344,19 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
     if gmin > 0 and 1.0 - (n + 1) * gmin <= 1e-12:
         # constraint leaves a single feasible point: uniform gaps
         deltas = gaps_to_deltas(np.full(n + 1, 1.0 / (n + 1)))
-        val = float(objective(deltas))
+        val = float(objective([deltas])[0])
         best = {"objective": val, "label": "uniform", "iterations": 0,
                 "function_evals": 1, "converged": True}
         return best, deltas, {"udd": val, "cpmg": val, "pdd": val}
 
     def to_deltas(x):
         raw = np.maximum(alr_to_gaps(x), 1e-15)
-        raw = raw / raw.sum()
+        raw = raw / raw.sum(-1, keepdims=True)
         return gaps_to_deltas(_squeeze(raw, gmin) if gmin > 0 else raw)
 
-    def objective_x(x):
-        try:
-            return objective(to_deltas(x))
-        except DDError:
-            return np.inf
-
+    labels = ["udd", "cpmg", "pdd"]
     starts = []
-    baselines = {}
-    for fam in ("udd", "cpmg", "pdd"):
+    for fam in labels:
         gaps = deltas_to_gaps(canonical_deltas(fam, n))
         if gmin > 0:
             gaps = project_gaps(gaps, gmin)
@@ -273,28 +364,27 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
             raw = raw / raw.sum()
         else:
             raw = gaps
-        x0 = gaps_to_alr(raw)
-        starts.append((fam, x0))
-        baselines[fam] = float(objective(to_deltas(x0)))
+        starts.append(gaps_to_alr(raw))
+    baselines = dict(zip(labels, objective(to_deltas(np.array(starts))).tolist()))
 
     rng = np.random.default_rng(cfg.seed)
     for k in range(cfg.restarts):
-        base = starts[k % 3][1]
-        starts.append((f"jitter{k}", base + rng.normal(0.0, 1.0, n) * _STEP_SCALE))
+        labels.append(f"jitter{k}")
+        starts.append(starts[k % 3] + rng.normal(0.0, 1.0, n) * _STEP_SCALE)
 
     if all(v == 0.0 for v in baselines.values()):
         # degenerate objective (zero spectrum): retain the (projected) UDD baseline
         best = {"objective": 0.0, "label": "udd", "iterations": 0, "function_evals": 0,
                 "converged": True, "degenerate": True}
-        return best, to_deltas(starts[0][1]), baselines
+        return best, to_deltas(starts[0]), baselines
 
+    runs = minimize(lambda x: objective(to_deltas(x), raise_on_fail=False), starts, cfg)
     best = None
-    for lbl, x0 in starts:
-        res = _nm_start(objective_x, np.asarray(x0, dtype=float), cfg)
-        if best is None or res.fun < best["objective"]:
-            best = {"objective": float(res.fun), "label": lbl, "x": res.x,
-                    "iterations": int(res.nit), "function_evals": int(res.nfev),
-                    "converged": bool(res.success)}
+    for lbl, res in zip(labels, runs):
+        if best is None or res["fun"] < best["objective"]:
+            best = {"objective": res["fun"], "label": lbl, "x": res["x"],
+                    "iterations": res["nit"], "function_evals": res["nfev"],
+                    "converged": res["success"]}
     if not np.isfinite(best["objective"]):
         raise NotConverged("no optimization start produced a finite objective")
     return best, to_deltas(best["x"]), baselines
@@ -366,15 +456,14 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     entries = []
     for n in range(1, n_hi + 1):
         best, deltas, _ = _optimize_core(inner, n, cfg, gmin=gmin)
-        value = float(true_chi(deltas))
+        value = float(true_chi([deltas])[0])
         # the result is the best over n, labelled BADD even on a zero spectrum
         entries.append((value, n, dict(best, objective=value, degenerate=False), deltas))
         per_n.append({"n": n, "objective": value, "converged": best["converged"]})
     _, n_best, best, deltas = min(entries, key=lambda e: e[:2])
 
-    baselines = {}
-    for fam in ("udd", "cpmg", "pdd"):
-        gaps = project_gaps(deltas_to_gaps(canonical_deltas(fam, n_best)), gmin)
-        baselines[fam] = float(true_chi(gaps_to_deltas(gaps)))
+    fams = ("udd", "cpmg", "pdd")
+    gaps = [project_gaps(deltas_to_gaps(canonical_deltas(fam, n_best)), gmin) for fam in fams]
+    baselines = dict(zip(fams, true_chi(gaps_to_deltas(np.array(gaps))).tolist()))
     return _result(best, deltas, baselines, cfg, "badd", gmin, n_best=n_best, n_limit=n_hi,
                    kernel_objective=kernel, per_n=per_n)

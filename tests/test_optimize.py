@@ -1,9 +1,11 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from ddfilter import (
     QuadratureConfig,
     SupraOhmicExp,
     Tabulated,
+    ToleranceNotMet,
     WhiteBand,
     build_edges,
     canonical_deltas,
@@ -33,6 +36,8 @@ from ddfilter import (
 from ddfilter.optimize import (
     _AREA_QUAD,
     _OBJ_QUAD,
+    _STEP_SCALE,
+    minimize,
     alr_to_gaps,
     deltas_to_gaps,
     gaps_to_alr,
@@ -105,7 +110,7 @@ def test_kernel_objective_equals_chi():
         for fam, n in [("cpmg", 4), ("udd", 6)]:
             d = np.asarray(make_canonical(fam, n).deltas)
             want = chi(make_custom(d), ref, 5.0)
-            assert f(d) == pytest.approx(want, rel=1e-6)
+            assert f([d])[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_lodd_dominates_baselines_and_is_stationary():
@@ -227,7 +232,7 @@ def test_filter_area_builds_panel_edges_only_for_the_fallback():
     with mock.patch("ddfilter.optimize.build_edges", wraps=build_edges) as edges:
         f = _area_objective(0.5)
         assert edges.call_count == 0
-        small = [f(seq.deltas) for _ in range(2)]
+        small = [f([seq.deltas])[0] for _ in range(2)]
     assert edges.call_count == 1
     assert small[0] == small[1] == pytest.approx(1.1707408821e-12, rel=1e-9)
 
@@ -378,6 +383,14 @@ def _outcome(f, *args):
         return type(exc)
 
 
+def _one_row(objective, d):
+    """The objective at one position array, as a one-row batch."""
+    return objective([d])[0]
+
+
+_supra_kernel = functools.cache(lambda tau: _kernel_chi_objective(SUPRA, tau))
+
+
 _OMEGAS = np.geomspace(0.05, 20.0, 12)
 _SPECTRA = [OhmicSharpCutoff(1.0, 1.0), SUPRA, WhiteBand(0.3, 4.0),
             PowerLaw(0.2, 0.5, 0.01, 5.0),
@@ -407,9 +420,12 @@ def test_array_objectives_are_bit_identical(d, which, log_tau, u_max):
     if not np.all(np.diff(d) > 0):
         return              # extreme gap draws can round two positions together
     spec, tau = _SPECTRA[which], 10.0 ** log_tau
-    assert _outcome(_chi_objective(spec, tau), d) == \
-        _outcome(chi, make_custom(d), spec, tau, _OBJ_QUAD)
-    assert _area_objective(u_max)(d) == _reference_area(d, u_max)
+    want = _outcome(chi, make_custom(d), spec, tau, _OBJ_QUAD)
+    assert _outcome(_one_row, _chi_objective(spec, tau), d) == want
+    # the search scores a row whose chi raises inf
+    searched = _chi_objective(spec, tau)([d], raise_on_fail=False)[0]
+    assert searched == (np.inf if isinstance(want, type) else want)
+    assert _one_row(_area_objective(u_max), d) == _reference_area(d, u_max)
     kernel = OHMIC.structure_function
     for width in (0.0, 0.5 * (np.diff(np.concatenate([[0.0], d, [1.0]])).min())):
         seq = make_custom(d, width_ratio=width)
@@ -429,14 +445,201 @@ def test_array_objectives_are_bit_identical(d, which, log_tau, u_max):
 @example([0.4, 0.4])
 @settings(max_examples=60, deadline=None)
 def test_invalid_positions_score_inf(raw):
-    """On non-increasing or out-of-range positions the objectives raise what
-    make_custom raises (NonMonotonic, OutOfRange), a DDError that the
-    Nelder-Mead objective of _optimize_core scores inf."""
+    """Every objective scores inf exactly where make_custom raises
+    (NonMonotonic, OutOfRange), alone and in a batch with a valid row."""
     d = np.array(raw)
-    valid = np.all(np.diff(d) > 0) and d[0] > 0 and d[-1] < 1
-    for objective in (_chi_objective(OHMIC, 2.0), _area_objective(5.0)):
-        outcome = _outcome(objective, d)
-        if valid:
-            assert np.isfinite(outcome)
+    rejected = _outcome(make_custom, d)
+    invalid = isinstance(rejected, type)
+    if invalid:
+        assert issubclass(rejected, DDError)
+    valid_row = canonical_deltas("udd", d.size)
+    for objective in (_chi_objective(OHMIC, 2.0), _area_objective(5.0), _supra_kernel(2.0)):
+        value, other = objective([d, valid_row])
+        assert (value == np.inf) if invalid else np.isfinite(value)
+        assert np.isfinite(other)
+        assert _one_row(objective, d) == value
+
+
+def test_a_failing_chi_is_inf_to_the_search_and_raises_elsewhere():
+    """A chi whose quadrature raises scores inf in the search, but the
+    canonical baselines and BADD's re-scoring raise it, as chi does."""
+    d = canonical_deltas("udd", 3)
+    with mock.patch("ddfilter.optimize._chi_quadrature",
+                    side_effect=ToleranceNotMet("refused")):
+        assert _chi_objective(TAB5, 2.0)([d, d], raise_on_fail=False).tolist() == [np.inf] * 2
+        for call in (lambda: _one_row(_chi_objective(TAB5, 2.0), d),
+                     lambda: optimize_lodd(TAB5, 3, 2.0, FAST),
+                     lambda: optimize_badd(TAB5, 5.0, 0.8, 2, FAST)):
+            with pytest.raises(ToleranceNotMet, match="refused"):
+                call()
+
+
+@st.composite
+def _batches(draw):
+    """2-6 rows of positions with one pulse count, random or canonical,
+    in a shuffled order."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        family = draw(st.sampled_from(["random", "udd", "cpmg", "pdd"]))
+        if family == "random":
+            raw = draw(st.lists(st.floats(0.02, 1.0), min_size=n + 1, max_size=n + 1))
+            rows.append(gaps_to_deltas(np.array(raw) / sum(raw)))
         else:
-            assert outcome is _outcome(make_custom, d) and issubclass(outcome, DDError)
+            rows.append(canonical_deltas(family, n))
+    return np.array(draw(st.permutations(rows)))
+
+
+@given(_batches(), st.sampled_from(range(len(_SPECTRA))), st.floats(-2.0, 1.3),
+       st.floats(0.3, 12.0))
+@example(np.array([canonical_deltas("udd", 6), canonical_deltas("cpmg", 6),
+                   canonical_deltas("pdd", 6)]), 0, -2.0, 0.5)
+@settings(max_examples=150, deadline=None)
+def test_objective_rows_are_independent(rows, which, log_tau, u_max):
+    """Each row of a batch, quadrature fallback rows included, scores
+    exactly what a one-row batch and a PulseSequence per call give: the
+    order of a block of rows does not change a row's pairwise sum."""
+    if not np.all(np.diff(rows, axis=1) > 0):
+        return              # extreme gap draws can round two positions together
+    spec, tau = _SPECTRA[which], 10.0 ** log_tau
+    objectives = [(_chi_objective(spec, tau),
+                   lambda d: _outcome(chi, make_custom(d), spec, tau, _OBJ_QUAD)),
+                  (_area_objective(u_max), lambda d: _reference_area(d, u_max)),
+                  (_supra_kernel(2.0), None)]
+    for objective, reference in objectives:
+        batch = objective(rows, raise_on_fail=False)
+        for d, value in zip(rows, batch):
+            assert objective([d], raise_on_fail=False)[0] == value
+            if reference is not None:
+                want = reference(d)
+                assert value == (np.inf if isinstance(want, type) else want)
+
+
+def test_row_batches_stay_within_the_pair_block():
+    """BADD at n_max 60 shrinks 5 starts x 60 vertices in one objective
+    call. The plan sums those 300 rows of 1,891 pairs taus_per_sum rows at
+    a time (about _PAIR_BLOCK pairs), so the peak memory is a few such
+    blocks of doubles, and each row's sums are the one-row sums."""
+    rng = np.random.default_rng(3)
+    rows = np.sort(rng.uniform(0.0, 1.0, (300, 60)), axis=1)
+    kernel = SUPRA.structure_function
+    with mock.patch.object(filters, "_PAIR_BLOCK", 1 << 14):
+        small = filters._PairPlan(60, 0.0)      # 8 rows a block: the chunking bites
+    for plan in (filters.pair_plan(60, 0.0), small):
+        block_bytes = 8 * plan.taus_per_sum * 1891
+        plan.sums(rows[:1], kernel)
+        tracemalloc.start()
+        try:
+            total, magnitude = plan.sums(rows, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * block_bytes
+        for i in (0, 7, 8, 299):
+            assert (total[i], magnitude[i]) == plan.sums(rows[i], kernel)
+
+
+# ------------------------------------------ lockstep Nelder-Mead against SciPy
+
+def _nm_branches(values, n, steps):
+    """The branches SciPy's Nelder-Mead took in `steps` iterations, replayed
+    from the objective values it asked for in order: its choices depend on
+    the values alone."""
+    values = iter(values)
+    f = np.sort([next(values) for _ in range(n + 1)])
+    taken = set()
+    for _ in range(steps):
+        fxr = next(values)
+        if fxr < f[0]:
+            fxe = next(values)
+            taken.add("expand" if fxe < fxr else "expand, keep reflection")
+            f[-1] = fxe if fxe < fxr else fxr
+        elif fxr < f[-2]:
+            taken.add("reflect")
+            f[-1] = fxr
+        else:
+            outside = fxr < f[-1]
+            fxc = next(values)
+            kind = "outside contraction" if outside else "inside contraction"
+            if (fxc <= fxr) if outside else (fxc < f[-1]):
+                taken.add(kind)
+                f[-1] = fxc
+            else:
+                taken.add(kind + ", shrink")
+                f[1:] = [next(values) for _ in range(n)]
+        f = np.sort(f)
+    return taken
+
+
+_COORD = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _nm_cases(draw):
+    """Quadratic bowls, optionally rippled (local minima), floored to a
+    step (plateaus: tied values and shrinks) and cut by a wall x_0 > w
+    scoring inf or NaN; 1-6 starts in 1-8 dimensions."""
+    n = draw(st.integers(1, 8))
+    vector = st.lists(_COORD, min_size=n, max_size=n)
+    # starts, center, scale, ripple, step, wall value, wall, max_iterations, tol
+    return (draw(st.lists(vector, min_size=1, max_size=6)), draw(vector),
+            draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)),
+            draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([0.0, 1e-3, 0.5])),
+            draw(st.sampled_from([None, np.inf, np.nan])), draw(st.floats(-1.0, 3.0)),
+            draw(st.sampled_from([1, 2, 20, None])), draw(st.sampled_from([1e-10, 1e-3, 0.5])))
+
+
+def test_lockstep_nelder_mead_is_scipy_start_by_start():
+    """The lockstep engine returns, for every start, SciPy's Nelder-Mead
+    result from the same initial simplex, tolerances and iteration cap:
+    x, fun, nit, nfev and success exactly. The examples reach every branch,
+    the tolerance stop and the iteration cap."""
+    seen = set()
+
+    @given(_nm_cases())
+    @example(([[2.0, -1.5]], [0.2, 0.3], [1.0, 2.0], 0.0, 0.0, None, 0.0, None, 1e-10))
+    @example(([[1.0, 1.0, -2.0], [0.5, 0.0, 0.0]], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0,
+              0.5, None, 0.0, 20, 1e-10))
+    @example(([[-0.4], [0.9]], [2.0], [1.0], 0.0, 0.0, np.inf, 0.5, 20, 1e-3))
+    @example(([[-1.8, -2.0]], [0.0, 0.0], [1.0, 1.0], 1.0, 0.0, None, 0.0, 20, 1e-10))
+    @example(([[0.1, 0.2]], [1.0, -1.0], [3.0, 0.2], 0.0, 1e-3, np.nan, 0.2, None, 1e-10))
+    @settings(max_examples=40, deadline=None)
+    def check(case):
+        starts, center, scale, ripple, step, region, wall, max_iterations, tol = case
+        center, scale = np.array(center), np.array(scale)
+
+        def objective(x):
+            v = ((x - center) ** 2 * scale + ripple * np.cos(4.0 * x)).sum(-1)
+            if step:
+                v = np.floor(v / step) * step
+            if region is not None:
+                v = np.where(x[:, 0] > wall, region, v)
+            return v
+
+        starts = np.array(starts)
+        n = starts.shape[1]
+        cfg = OptimizationConfig(max_iterations=max_iterations, tol=tol)
+        with np.errstate(invalid="ignore"):
+            runs = minimize(objective, starts, cfg)
+            for x0, run in zip(starts, runs):
+                values = []
+
+                def scalar(x):
+                    values.append(objective(x[None])[0])
+                    return values[-1]
+
+                simplex = np.vstack([x0] + [x0 + _STEP_SCALE * np.eye(n)[i] for i in range(n)])
+                ref = scipy.optimize.minimize(
+                    scalar, x0, method="Nelder-Mead",
+                    options={"xatol": 1e-8, "fatol": tol, "initial_simplex": simplex,
+                             "maxiter": max_iterations or 200 * n, "maxfev": 10 ** 9})
+                assert np.array_equal(run["x"], ref.x)
+                assert np.array_equal(run["fun"], ref.fun, equal_nan=True)
+                assert (run["nit"], run["nfev"], run["success"]) == (ref.nit, ref.nfev, ref.success)
+                seen.update(_nm_branches(values, n, ref.nit - 1))
+                seen.add("tolerance stop" if ref.success else "iteration cap")
+
+    check()
+    assert seen == {"expand", "expand, keep reflection", "reflect", "outside contraction",
+                    "inside contraction", "outside contraction, shrink",
+                    "inside contraction, shrink", "tolerance stop", "iteration cap"}
