@@ -31,7 +31,9 @@ over the switching times t_k of the toggling function.
 
 On both quadrature routes the chi weight the support drops, times max F,
 is added to the error, and the support is widened until it is within a
-tenth of the tolerance (only the supra-ohmic spectrum has such a tail).
+tenth of the tolerance (only the supra-ohmic spectrum and unbounded power
+laws have such a tail), or raises ToleranceNotMet when the wider support
+would pass the quadrature's panel cap.
 
 The routes are evaluated over a tau grid; chi at one tau is the grid of
 one. coherence_curve groups the taus by sequence, and the pairwise route
@@ -41,7 +43,7 @@ tau left for quadrature, of any sequence and either filter, is then
 integrated together by quadrature.integrate_batch: one integrand call per
 refinement round (in calls of at most 2^16 nodes), each tau keeping its
 own error budget, halving rule and support widening. The full panels of
-every tau are 2 pi / oscillation_resolution wide in u = omega tau, so the
+every tau are 2 pi / OSCILLATION_RESOLUTION wide in u = omega tau, so the
 panel evaluator builds one node table for the whole grid.
 
 All exponent conventions are anchored to the analytic white-noise FID
@@ -58,7 +60,8 @@ import numpy as np
 from .errors import CurveFailure, ToleranceNotMet
 from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
                       filter_value_finite, pair_plan)
-from .quadrature import NODES, QuadratureConfig, build_edges, integrate_batch
+from .quadrature import (_MAX_PANELS, ABS_TOL, NODES, OSCILLATION_RESOLUTION,
+                         QuadratureConfig, build_edges, integrate_batch)
 from .spectra import effective_support
 
 
@@ -121,7 +124,9 @@ def _quadrature(jobs, spec, cfg):
     With series=True F comes from StopBandFilter. On either route the
     support's truncation enters the error: the chi weight of the spectrum
     beyond the support (spec.tail_weight) times max F = (sum |c|)^2. The
-    support is widened until that is at most 0.1 * cfg.rel_tol * chi. A
+    support is widened until that is at most 0.1 * cfg.rel_tol * chi, unless
+    the wider support would start with more than quadrature._MAX_PANELS
+    panels; the job then raises, the dropped tail in its error. A
     quadrature that gives up is retried on the wider support when the tail
     it dropped could outweigh its best value (a support that ends in the
     stop band leaves F below the rounding floor). Jobs that widen are
@@ -141,8 +146,10 @@ def _quadrature(jobs, spec, cfg):
                     or widening == _WIDENINGS):
                 epsilon[i] *= 0.05 * cfg.rel_tol * result / dropped
                 if epsilon[i] >= _MIN_EPSILON:
-                    again.append(i)
-                    continue
+                    lo, hi = effective_support(spec, epsilon[i])
+                    if (hi - lo) / _panel_width(jobs[i][1]) <= _MAX_PANELS:    # fits the cap
+                        again.append(i)
+                        continue
             if failed or dropped > 0.1 * cfg.rel_tol * result:
                 out[i] = _tolerance_not_met(result, err + dropped)
             else:
@@ -157,10 +164,15 @@ _WIDENINGS = 3           # support widenings allowed per chi
 _MIN_EPSILON = 1e-300    # smallest support tail share asked of a spectrum
 
 
+def _panel_width(tau):
+    """Full panel width in omega: 2 pi / OSCILLATION_RESOLUTION in u = omega tau."""
+    return 2.0 * np.pi / (tau * OSCILLATION_RESOLUTION)
+
+
 def _integrate_chi(jobs, epsilons, spec, cfg):
     """(chi, error, failed, info) per (seq, tau, series) job, from quadrature
     on effective_support(spec, epsilon). Every job's full panels are
-    2 pi / cfg.oscillation_resolution wide in u = omega * tau (the filter's
+    2 pi / OSCILLATION_RESOLUTION wide in u = omega * tau (the filter's
     passband period over the resolution), so one node table serves them
     all."""
     filters, which, infos, edge_sets = [], [], [], []
@@ -182,7 +194,7 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
         info["support"] = (lo, hi)
         infos.append(info)
         edge_sets.append(build_edges(lo, hi, breakpoints=spec.breakpoints(),
-                                     max_panel=2.0 * np.pi / (tau * cfg.oscillation_resolution)))
+                                     max_panel=_panel_width(tau)))
     taus, which = np.array([job[1] for job in jobs]), np.array(which)
 
     def integrand(om, owner):
@@ -201,7 +213,7 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
     for value, err, n_panels, info in zip(values, errors, panels, infos):
         info["panels"] = n_panels
         out.append(((2.0 / np.pi) * value, (2.0 / np.pi) * err,
-                    bool(err > max(cfg.rel_tol * abs(value), cfg.abs_tol)), info))
+                    bool(err > max(cfg.rel_tol * abs(value), ABS_TOL)), info))
     return out
 
 

@@ -73,54 +73,34 @@ def omega_f1(samples):
     """First upward crossing of F = 1, refined on the evaluator.
 
     Scans the sample grid from low u; bisects until |F - 1| <= 1e-6.
-    Tangency (F touches 1 without crossing, e.g. FID at u = pi) is
-    resolved by refining the grid maximum; NoCrossing otherwise.
+    FID's F = sin^2(u/2) touches 1 at u = pi without crossing, so FID
+    returns pi when the grid spans it. With n >= 1 pulses F averages
+    4n + 2 in the passband and crosses 1; a grid with no sampled upward
+    crossing raises NoCrossing.
     """
     u, F = samples.u_grid, samples.values
-    idx = np.nonzero((F[1:] >= 1.0) & (F[:-1] < 1.0))[0]
-    if idx.size and F[0] < 1.0:
-        lo, hi = u[idx[0]], u[idx[0] + 1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = samples.evaluate(mid)
-            if abs(fm - 1.0) <= 1e-6:
-                return float(mid)
-            if fm < 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                return float(0.5 * (lo + hi))
-        return float(0.5 * (lo + hi))
+    if samples.n == 0:
+        if u[0] < math.pi <= u[-1]:
+            return math.pi
+        raise NoCrossing(f"FID touches F = 1 at pi, outside the grid [{u[0]:g}, {u[-1]:g}]")
     if F[0] >= 1.0:
         raise NoCrossing("grid starts at F >= 1; extend u_min downward")
-    # tangency fallback: golden-section refinement of the FIRST near-unit
-    # local maximum (global argmax may sit on a later, equal-height peak)
-    peak_floor = max(0.5, (1.0 - 1e-2) * float(F.max()))
-    interior = (F[1:-1] >= F[:-2]) & (F[1:-1] >= F[2:]) & (F[1:-1] >= peak_floor)
-    cand = np.nonzero(interior)[0]
-    j = int(cand[0]) + 1 if cand.size else int(np.argmax(F))
-    if 0 < j < F.size - 1 and F[j] > 0.5:
-        lo, hi = u[j - 1], u[j + 1]
-        inv = (np.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - inv * (hi - lo)
-        x2 = lo + inv * (hi - lo)
-        f1, f2 = samples.evaluate(x1), samples.evaluate(x2)
-        for _ in range(300):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv * (hi - lo)
-                f2 = samples.evaluate(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv * (hi - lo)
-                f1 = samples.evaluate(x1)
-            if hi - lo <= 1e-12 * hi:
-                break
-        peak_u = 0.5 * (lo + hi)
-        if abs(samples.evaluate(peak_u) - 1.0) <= 1e-6:
-            return float(peak_u)
-    raise NoCrossing("F stays below 1 on the sampled grid")
+    idx = np.nonzero((F[1:] >= 1.0) & (F[:-1] < 1.0))[0]
+    if not idx.size:
+        raise NoCrossing("F stays below 1 on the sampled grid")
+    lo, hi = u[idx[0]], u[idx[0] + 1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = samples.evaluate(mid)
+        if abs(fm - 1.0) <= 1e-6:
+            return float(mid)
+        if fm < 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            return float(0.5 * (lo + hi))
+    return float(0.5 * (lo + hi))
 
 
 def _clean_window_indices(samples):

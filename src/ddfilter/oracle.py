@@ -45,7 +45,8 @@ import numpy as np
 
 from .coherence import chi
 from .errors import UnderResolved, _integer
-from .quadrature import QuadratureConfig, build_edges, panel_nodes
+from .quadrature import (ABS_TOL, OSCILLATION_RESOLUTION, QuadratureConfig, build_edges,
+                         panel_nodes)
 from .sequences import PulseSequence, min_gap
 from .spectra import eval_spectrum
 
@@ -191,7 +192,7 @@ def autocovariance(spec, lags, cfg=None):
     lag_max = float(np.abs(lags).max())
     cap = None
     if lag_max > 0:
-        cap = 2.0 * np.pi / (lag_max * cfg.oscillation_resolution)
+        cap = 2.0 * np.pi / (lag_max * OSCILLATION_RESOLUTION)
     edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=cap)
 
     def panel_sum(order):
@@ -208,7 +209,7 @@ def autocovariance(spec, lags, cfg=None):
     for _ in range(cfg.max_subdivisions + 1):
         c21 = panel_sum(21)
         c10 = panel_sum(10)
-        scale = max(float(np.abs(c21).max()), cfg.abs_tol)
+        scale = max(float(np.abs(c21).max()), ABS_TOL)
         err = float(np.abs(c21 - c10).max())
         if err <= cfg.rel_tol * scale:
             break

@@ -2,7 +2,7 @@
 
 The integrands here (filter functions against noise spectra) oscillate
 with a known period in u = omega*tau, so panels are sized from that
-scale up front (by default 4 panels per period 2 pi, where GL10 still
+scale up front (OSCILLATION_RESOLUTION = 4 panels per period 2 pi, where GL10 still
 resolves the fastest filter cosine to about 1e-21 of a panel's value)
 and refined adaptively only where the 21- vs 10-point rule disagreement
 says the tolerance is not met.
@@ -21,30 +21,30 @@ cap any integral meets is the one it would meet alone.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ToleranceNotMet
+from .errors import ToleranceNotMet, _integer
 
 _nodes = functools.cache(leggauss)     # (nodes, weights) of the n-point rule
+
+
+ABS_TOL = 1e-300               # absolute error floor of every budget
+OSCILLATION_RESOLUTION = 4     # panels per period 2 pi of the fastest oscillation
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-300
     max_subdivisions: int = 12
-    oscillation_resolution: int = 4
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.oscillation_resolution < 4:
-            raise ValueError("oscillation_resolution must be >= 4")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be >= 0")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        _integer(self.max_subdivisions, "max_subdivisions", 0)
 
 
 _W21, _W10 = _nodes(21)[1], _nodes(10)[1]
@@ -102,7 +102,7 @@ def integrate_batch(f, edge_sets, cfg=None):
     the index of the edge set it belongs to. Returns arrays (values,
     error_estimates, n_panels), one entry per edge set. Each integral halves
     the panels whose local error exceeds an equal share of its own budget
-    max(rel_tol |value|, abs_tol), up to cfg.max_subdivisions rounds, until
+    max(rel_tol |value|, ABS_TOL), up to cfg.max_subdivisions rounds, until
     its error is within the budget. An error above the budget is the
     caller's to report.
 
@@ -139,7 +139,7 @@ def _refine(f, edge_sets, cfg):
     for rounds in range(cfg.max_subdivisions + 1):
         starts = counts.cumsum() - counts
         values, errors = np.add.reduceat(vals, starts), np.add.reduceat(errs, starts)
-        budget = np.maximum(cfg.rel_tol * np.abs(values), cfg.abs_tol)
+        budget = np.maximum(cfg.rel_tol * np.abs(values), ABS_TOL)
         refining &= errors > budget
         if rounds == cfg.max_subdivisions or not refining.any():
             break
@@ -175,13 +175,13 @@ def integrate(f, edges, cfg=None, raise_on_fail=True):
     arrays, over the paneled interval.
 
     Returns (value, error_estimate, n_panels): integrate_batch on one edge
-    set. When the error estimate is above max(rel_tol |value|, abs_tol)
+    set. When the error estimate is above max(rel_tol |value|, ABS_TOL)
     ToleranceNotMet carries the best value and the achieved estimate.
     """
     cfg = cfg or QuadratureConfig()
     values, errors, panels = integrate_batch(lambda x, _owner: f(x), [edges], cfg)
     value, achieved = float(values[0]), float(errors[0])
-    if achieved > max(cfg.rel_tol * abs(value), cfg.abs_tol) and raise_on_fail:
+    if achieved > max(cfg.rel_tol * abs(value), ABS_TOL) and raise_on_fail:
         raise ToleranceNotMet(
             f"quadrature error {achieved:.3e} above tolerance for value {value:.6e}",
             value=value,

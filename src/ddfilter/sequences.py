@@ -6,6 +6,7 @@ pulse-width ratio r = tau_pi / tau_total (0 means instantaneous pulses).
 n = 0 is free-induction decay (FID).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,37 +145,38 @@ def reflect(seq):
 
 
 _MAX_ORDER = 10_000_001   # guards nonsense ratios; unreachable for physical inputs
+# smallest gap of each family at n (end gaps for cpmg and udd), and its inverse
+_MIN_GAP = {"cpmg": lambda n: 0.5 / n, "pdd": lambda n: 1.0 / (n + 1),
+            "udd": lambda n: math.sin(math.pi / (2 * n + 2)) ** 2}
+_ORDER_AT = {"cpmg": lambda x: 0.5 * x, "pdd": lambda x: x - 1.0,
+             "udd": lambda x: math.pi / (2.0 * math.asin(math.sqrt(1.0 / x))) - 1.0}
 
 
 def max_order(family, tau, tau_switch):
     """Largest n whose minimum gap times tau still clears tau_switch.
 
-    The minimum gap of every family falls with n, so an exponential
-    search brackets the first n that fails and bisection finds it; each
-    probe builds the sequence (no closed form assumed). Returns 0 when
-    even n=1 violates the constraint, and at most 10,000,001. Equality
-    passes within a relative float tolerance so exact-ratio cases are not
-    lost to representation noise.
+    The minimum gap of every family has a closed form falling with n
+    (1/(2n), 1/(n+1), sin^2(pi/(2n+2))); its inverse at tau / tau_switch
+    gives n, and steps of one on the same closed form settle float edges.
+    No sequence is built. Returns 0 when even n=1 violates the
+    constraint, and at most 10,000,001. Equality passes within a relative
+    float tolerance of 1e-12 so exact-ratio cases are not lost to
+    representation noise.
     """
     family = family.lower()
     if family not in ("cpmg", "pdd", "udd"):
         raise ValueError(f"max_order applies to cpmg/pdd/udd, got {family!r}")
     if not tau > tau_switch > 0:
         raise ValueError("require tau > tau_switch > 0")
-    limit = tau_switch * (1.0 - 1e-12)
+    limit, gap = tau_switch * (1.0 - 1e-12), _MIN_GAP[family]
 
     def clears(n):
-        return not min_gap(make_canonical(family, n)) * tau < limit
+        return n == 0 or not gap(n) * tau < limit
 
-    lo, hi = 0, 1            # clears(lo); hi is the next probe
-    while clears(hi):
-        if hi == _MAX_ORDER:
-            return hi
-        lo, hi = hi, min(2 * hi, _MAX_ORDER)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clears(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = min(tau / limit, 4.0 * _MAX_ORDER ** 2)     # past it every family clears the cap
+    n = int(max(min(_ORDER_AT[family](x), _MAX_ORDER), 0))
+    while n < _MAX_ORDER and clears(n + 1):
+        n += 1
+    while not clears(n):
+        n -= 1
+    return n

@@ -187,6 +187,14 @@ class PowerLaw(Spectrum):
         hi = self.omega_lo * epsilon ** (1.0 / (self.exponent - 1.0))
         return (self.omega_lo, hi)
 
+    def tail_weight(self, epsilon):
+        """(2/pi) A W^(p-1) / (1-p) beyond W = effective_support(epsilon)[1];
+        0 when omega_hi is finite (the support is the whole band)."""
+        if math.isfinite(self.omega_hi):
+            return 0.0
+        w = self.effective_support(epsilon)[1]
+        return (2.0 / np.pi) * self.amplitude * w ** (self.exponent - 1.0) / (1.0 - self.exponent)
+
     def power_support(self, epsilon):
         if math.isfinite(self.omega_hi):
             return (self.omega_lo, self.omega_hi)

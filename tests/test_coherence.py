@@ -226,7 +226,7 @@ def test_pairwise_chi_matches_quadrature(seq, spec, depth):
     passband peak near u = pi * n."""
     # coarse panels and few refinement rounds keep the quadrature small;
     # deep in the stop band it gives up early
-    cfg = QuadratureConfig(max_subdivisions=3, oscillation_resolution=4)
+    cfg = QuadratureConfig(max_subdivisions=3)
     support_end = spec.effective_support(cfg.rel_tol / 10.0)[1]
     tau = max(0.3, depth * np.pi * (seq.n + 1)) / support_end
     try:
@@ -386,13 +386,6 @@ def test_long_tau_chi_memory_stays_bounded():
     assert value == pytest.approx(202.1883798269678, rel=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="PowerLaw has no tail_weight: the part of an unbounded support that "
-    "effective_support drops is never counted, so chi comes out 26% low with a "
-    "4e-20 error estimate; counting it needs the quadrature memory cap first "
-    "(ROADMAP item 8)",
-)
 def test_unbounded_powerlaw_counts_the_dropped_tail():
     """chi on an unbounded p = -2 power law either raises or lands within its
     error estimate of the same spectrum cut at 1e4 (whose tail beyond the cut
@@ -404,6 +397,24 @@ def test_unbounded_powerlaw_counts_the_dropped_tail():
     except ToleranceNotMet:
         return
     assert abs(value - ref) <= max(info["error_estimate"], 1e-6 * ref)
+
+
+def test_unbounded_powerlaw_tail_past_the_panel_cap_raises():
+    """An unbounded power law whose tail needs a support wider than the
+    quadrature's panel cap raises ToleranceNotMet, the dropped tail in its
+    achieved error, without building that support (p = -3 would ask for
+    about 157 GiB of panel edges)."""
+    seq = make_canonical("udd", 40)
+    for p in (-1.5, -3.0):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMet) as err:
+                chi(seq, PowerLaw(1.0, p, 0.1, np.inf), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, (p, peak)
+        assert err.value.achieved > 1e-9 * abs(err.value.value), p
 
 
 @pytest.mark.xfail(

@@ -31,9 +31,15 @@ def _samples(fam, n=None, lo=1e-3, hi=1e3, ppd=50, **kw):
 
 
 def test_omega_f1_tangency_fid():
-    """FID touches F = 1 at u = pi without crossing; refinement finds it."""
-    u1 = omega_f1(_samples("fid"))
-    assert u1 == pytest.approx(np.pi, abs=1e-4)
+    """FID touches F = 1 at u = pi without crossing: u_f1 is pi exactly."""
+    assert omega_f1(_samples("fid")) == math.pi
+
+
+def test_omega_f1_fid_grid_without_pi():
+    """An FID grid that does not span pi has no u_f1."""
+    for lo, hi in ((1e-3, 3.0), (3.2, 1e3)):
+        with pytest.raises(NoCrossing):
+            omega_f1(_samples("fid", lo=lo, hi=hi))
 
 
 def test_omega_f1_crossings():

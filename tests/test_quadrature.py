@@ -67,8 +67,12 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=-1)
-    with pytest.raises(ValueError):
-        QuadratureConfig(oscillation_resolution=2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tol=bad)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_subdivisions=bad)
 
 
 def test_build_edges_validation():

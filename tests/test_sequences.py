@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,8 @@ def test_max_order_values():
     assert max_order("cpmg", 1.0, 0.1) == 5
     # exact-ratio boundary: cpmg n gives min gap 1/(2n); tau_switch hits it
     assert max_order("cpmg", 1.0, 0.05) == 10
+    for family in ("cpmg", "pdd", "udd"):    # the cap, also where tau / tau_switch is inf
+        assert max_order(family, 1e300, 1e-300) == max_order(family, np.inf, 1.0) == 10_000_001
 
 
 def test_max_order_rejects_bad_input():
@@ -170,3 +175,40 @@ def test_max_order_search_matches_linear_scan(family):
     for tau, tau_switch in cases:
         assert max_order(family, tau, tau_switch) == \
             _max_order_by_scan(family, tau, tau_switch), (family, tau, tau_switch)
+
+
+_GAP = {"cpmg": lambda k: 0.5 / k, "pdd": lambda k: 1.0 / (k + 1),
+        "udd": lambda k: float(np.sin(np.pi / (2 * k + 2)) ** 2)}
+
+
+@pytest.mark.parametrize("family", ["cpmg", "pdd", "udd"])
+def test_max_order_exact_ties(family):
+    """tau_switch exactly tau times the smallest gap at k returns k, and 1e-9
+    above it k - 1, up to 10^6: the built sequence's last gap 1 - delta_n
+    carries delta_n's rounding, so this needs the closed-form gap."""
+    ks = list(range(1, 401)) + sorted({int(k) for k in np.geomspace(401, 1e6, 60)})
+    for tau in (1.0, 3.0):
+        for k in ks:
+            tie = tau * _GAP[family](k)
+            assert max_order(family, tau, tie) == k, (family, tau, k)
+            assert max_order(family, tau, tie * (1.0 + 1e-9)) == k - 1, (family, tau, k)
+
+
+def test_max_order_builds_no_sequence(monkeypatch):
+    """tau / tau_switch = 10^7 answers in under 0.1 s and 1 MB without
+    building a PulseSequence (the search built one per probe)."""
+    built = []
+    real = PulseSequence.__post_init__
+    monkeypatch.setattr(PulseSequence, "__post_init__",
+                        lambda self: built.append(1) or real(self))
+    for family, want in (("cpmg", 5_000_000), ("pdd", 9_999_999), ("udd", 4966)):
+        tracemalloc.start()
+        t = time.perf_counter()
+        try:
+            n = max_order(family, 1.0, 1e-7)
+            elapsed = time.perf_counter() - t
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == want and elapsed < 0.1 and peak < 1 << 20, (family, n, elapsed, peak)
+    assert built == []
