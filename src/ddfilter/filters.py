@@ -18,7 +18,7 @@ small-u cancellation happens analytically instead of in floating point
 
 On quadrature panels, u = mid + hw x, every summand splits into a
 per-panel and a per-node factor (_panel_z), so z is a complex matrix
-product of at most 2^16 multiply-adds per block. A uniform 1-D grid
+product of fewer than 2^16 multiply-adds per block. A uniform 1-D grid
 (linspace, or a linspace times a constant, of at least _FOLD_MIN points x
 segments) has the same form once folded into rows u_0 + h (q b + j) of
 b = ceil(sqrt(N)) points (_fold), and takes the same route. Logarithmic,
@@ -41,6 +41,7 @@ relative precision however small it is.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -165,10 +166,20 @@ def pair_sums(seq, kernel):
     return (*plan.sums(seq.deltas, kernel), plan.c)
 
 
-# Multiply-adds per complex product (2^12 for one row, a vector-matrix
-# product): OpenBLAS runs these on the calling thread, while larger ones wake
-# its thread pool, which stalls for milliseconds on a machine with few CPUs.
-_PRODUCT_SIZE, _VECTOR_SIZE = 1 << 16, 1 << 12
+# Multiply-adds per BLAS call. OpenBLAS 0.3.31 runs a call on the calling
+# thread up to a size and wakes its thread pool above it; the second worker
+# then spins for as long as the caller works on, or stalls the call for
+# milliseconds when the other CPU is busy. Measured on 2 CPUs, in a fresh
+# process per size, by the CPU time of the worker threads: zgemm stays
+# below 2^16 (exactly 2^16 wakes it); dgemm up to 10^6 (100 x 100 x 100
+# stays, 64 x 245 x 64 wakes it); dgemv up to 460,000 (460 x 1000 stays,
+# 470 x 1000 wakes it); ddot up to 10,000. Complex products take at most
+# _PRODUCT_SIZE (_VECTOR_SIZE for one row, a vector-matrix product), real
+# ones at most _REAL_SIZE, half dgemm's bound, or _REAL_VECTOR_SIZE when an
+# operand is a vector (under ddot's bound, the lowest), each with a
+# contraction of at least _REAL_DEPTH where the limit allows.
+_PRODUCT_SIZE, _VECTOR_SIZE = (1 << 16) - 1, 1 << 12
+_REAL_SIZE, _REAL_VECTOR_SIZE, _REAL_DEPTH = 1 << 19, 1 << 13, 64
 _SHARED_MIN = 64    # panels x segments from which a shared node table pays
 
 
@@ -185,6 +196,33 @@ def _product(table, mid, right):
         for k0 in range(0, k, kb):
             out[r0:r0 + step] += a[:, k0:k0 + kb] @ right[k0:k0 + kb]
     return out
+
+
+def _real_product(a, b):
+    """a @ b for real a (m x k, or a k-vector) and b (k x n, or a k-vector).
+
+    Each BLAS call takes at most _REAL_SIZE multiply-adds (_REAL_VECTOR_SIZE
+    when m or n is 1). The longer of a block's m and n sides is halved until
+    a contraction of _REAL_DEPTH fits beside them, and the contraction is cut
+    to fill the rest; each side is cut into near-equal pieces, and the
+    products over the pieces of k are summed.
+    """
+    m, k = a.shape if a.ndim == 2 else (1, a.size)
+    n = b.shape[1] if b.ndim == 2 else 1
+    limit = _REAL_SIZE if min(m, n) > 1 else _REAL_VECTOR_SIZE
+    bm, bn = m, n
+    while bm * bn * min(k, _REAL_DEPTH) > limit and bm * bn > 1:
+        bm, bn = (-(-bm // 2), bn) if bm >= bn else (bm, -(-bn // 2))
+    bk = max(1, min(k, limit // (bm * bn)))
+    rows, inner, cols = ([d * j // p for j in range(p + 1)]
+                         for d, p in ((m, -(-m // bm)), (k, -(-k // bk)), (n, -(-n // bn))))
+    a2, b2 = a.reshape(m, k), b.reshape(k, n)
+    out = np.zeros((m, n))
+    for r0, r1 in itertools.pairwise(rows):
+        for c0, c1 in itertools.pairwise(cols):
+            for k0, k1 in itertools.pairwise(inner):
+                out[r0:r1, c0:c1] += a2[r0:r1, k0:k1] @ b2[k0:k1, c0:c1]
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def _node_z(deltas, u, r):

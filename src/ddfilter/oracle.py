@@ -16,7 +16,9 @@ with B, and a Monte Carlo mode transform sums A against B times the
 toggling vector folded into b columns (the four-step FFT factorisation;
 Bailey, J. Supercomputing 4, 23 (1990)). A frequency costs about 2 sqrt(N)
 complex products and 2 log2(sqrt(N)) exponentials, and blocks of
-frequencies keep memory bounded at any tau.
+frequencies keep memory bounded at any tau. The products are real (a
+complex table is a real one of (re, im) pairs) and go through
+filters._real_product, whose blocks OpenBLAS runs on the calling thread.
 
 A Monte Carlo realization's phase is a sum of cosines over the noise
 modes, sum_k a_k cos(theta_k + psi_k), with the mode amplitudes and the
@@ -45,6 +47,7 @@ import numpy as np
 
 from .coherence import chi
 from .errors import UnderResolved, _integer
+from .filters import _real_product
 from .quadrature import (ABS_TOL, OSCILLATION_RESOLUTION, QuadratureConfig, build_edges,
                          panel_nodes)
 from .sequences import PulseSequence, min_gap
@@ -157,7 +160,9 @@ def _grid_cos_sum(weights, omega, dt, n):
     for sl in _omega_blocks(omega.size, n):
         A, B, _ = _grid_phasors(omega[sl], dt, n)
         A *= weights[sl]
-        out += (A @ B.T).real.ravel()[:n]
+        # Re(A B^T) = Re A Re B^T - Im A Im B^T: one real product of conj(A)
+        # and B, each viewed as rows of (re, im) pairs
+        out += _real_product(np.conjugate(A, out=A).view(float), B.view(float).T).ravel()[:n]
     return out
 
 
@@ -169,7 +174,7 @@ def _grid_transform(values, omega, dt):
         A, B, b = _grid_phasors(omega[sl], dt, n)
         folded = np.zeros(A.shape[0] * b)
         folded[:n] = values
-        A *= folded.reshape(-1, b) @ B
+        A *= _real_product(folded.reshape(-1, b), B.view(float)).view(complex)
         out[sl] = A.sum(axis=0)
     return out
 
@@ -203,7 +208,7 @@ def autocovariance(spec, lags, cfg=None):
         out = np.empty(lags.size)
         blk = max(1, int(4e6) // max(om.size, 1))
         for i in range(0, lags.size, blk):
-            out[i:i + blk] = sw @ np.cos(np.outer(om, lags[i:i + blk]))
+            out[i:i + blk] = _real_product(sw, np.cos(np.outer(om, lags[i:i + blk])))
         return out / np.pi
 
     for _ in range(cfg.max_subdivisions + 1):
@@ -227,10 +232,15 @@ def grammian_chi(seq, spec, tau, n_steps, cfg=None):
     sv = sampling_vector(seq, tau, n_steps)
     y = sv.values
     n = y.size
-    spec_fft = np.fft.rfft(y, 2 * n)
-    w = np.fft.irfft(spec_fft * np.conj(spec_fft), 2 * n)[:n]
+    # any length >= 2n - 1 gives the linear autocorrelation at lags < n; a
+    # 5-smooth one keeps the FFT fast (2n = 20,004 = 4 * 3 * 1667 is not):
+    # 2^j times one of these odd factors lies within 1/8 above 2n - 1 (n >= 12)
+    need = 2 * n - 1
+    size = min(s << (-(-need // s) - 1).bit_length() for s in (1, 3, 5, 9, 15, 25, 27, 45))
+    spec_fft = np.fft.rfft(y, size)
+    w = np.fft.irfft(spec_fft * np.conj(spec_fft), size)[:n]
     c = autocovariance(spec, np.arange(n) * sv.dt, cfg)
-    quad = w[0] * c[0] + 2.0 * float(w[1:] @ c[1:])
+    quad = w[0] * c[0] + 2.0 * float(_real_product(w[1:], c[1:]))
     return KAPPA * sv.amplitude ** 2 * sv.dt ** 2 * quad
 
 
@@ -290,7 +300,7 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
         count = min(rows, n_realizations - i)
         theta = np.fromiter(itertools.islice(phases, count), row, count)
         theta += psi
-        phi[i:i + count] = np.cos(theta, out=theta) @ a
+        phi[i:i + count] = _real_product(np.cos(theta, out=theta), a)
     cos_vals = np.cos(MC_PHASE * phi)
     w = float(cos_vals.mean())
     stderr = float(cos_vals.std(ddof=1) / np.sqrt(cos_vals.size))

@@ -305,6 +305,73 @@ def test_panels_of_a_tau_grid_share_one_table():
     assert np.all(np.abs(panel - node) <= 4.0 * delta * (np.sqrt(node) + delta))
 
 
+class _Products(np.ndarray):
+    """An array that records the shapes of each product it is the left
+    operand of."""
+
+    def __matmul__(self, other):
+        _Products.calls.append((self.shape, np.shape(other)))
+        return np.asarray(self) @ np.asarray(other)
+
+
+def _sizes(calls):
+    """Multiply-adds of each recorded product, and whether one side is a vector."""
+    out = []
+    for a, b in calls:
+        m, k = a if len(a) == 2 else (1, a[0])
+        n = b[1] if len(b) == 2 else 1
+        out.append((m * k * n, min(m, n) == 1))
+    return out
+
+
+def test_complex_products_stay_below_the_thread_threshold():
+    """A block of _product never reaches 2^16 multiply-adds, where zgemm
+    threads, also when the right side's width is a power of two."""
+    rng = np.random.default_rng(3)
+    right = rng.standard_normal((32, 128)) + 1j * rng.standard_normal((32, 128))
+    mid = rng.uniform(0.0, 5.0, 100)
+    table = lambda mp: np.exp(1j * np.outer(mp, np.arange(32))).view(_Products)
+    _Products.calls = []
+    got = filters._product(table, mid, right)
+    assert np.allclose(got, np.exp(1j * np.outer(mid, np.arange(32))) @ right,
+                       rtol=0, atol=1e-12 * np.abs(right).sum())
+    sizes = _sizes(_Products.calls)
+    assert len(sizes) > 1 and max(s for s, _ in sizes) < 1 << 16
+
+
+@pytest.mark.parametrize("a_shape, b_shape, limits, split", [
+    ((37, 500), (500, 29), (1000, 64), (True, True, True)),
+    ((37, 50), (50, 29), (1 << 19, 1 << 13), (False, False, False)),
+    ((400, 3), (3, 500), (2000, 64), (True, False, True)),
+    ((60, 700), (700,), (1000, 100), (True, True, False)),
+    ((700,), (700, 60), (1000, 100), (False, True, True)),
+    ((5000,), (5000,), (1000, 100), (False, True, False)),
+    ((5000,), (5000,), (1 << 19, 1 << 13), (False, False, False)),
+])
+def test_real_product_blocks(a_shape, b_shape, limits, split, monkeypatch):
+    """_real_product equals a @ b, every block stays within its limit
+    (the vector limit when a block's m or n is 1), and the blocks split
+    rows, contraction and columns as expected."""
+    monkeypatch.setattr(filters, "_REAL_SIZE", limits[0])
+    monkeypatch.setattr(filters, "_REAL_VECTOR_SIZE", limits[1])
+    rng = np.random.default_rng(len(a_shape) + len(b_shape))
+    a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    _Products.calls = []
+    got = filters._real_product(a.view(_Products), b)
+    want = a @ b
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(a).max() * np.abs(b).sum(axis=0).max())
+    assert all(s <= limits[vector] for s, vector in _sizes(_Products.calls))
+    m, k = a_shape if len(a_shape) == 2 else (1, a_shape[0])
+    n = b_shape[1] if len(b_shape) == 2 else 1
+    rows = {x[0] if len(x) == 2 else 1 for x, _ in _Products.calls}
+    inner = {x[-1] for x, _ in _Products.calls}
+    cols = {y[1] if len(y) == 2 else 1 for _, y in _Products.calls}
+    assert (max(rows) < m, max(inner) < k, max(cols) < n) == split
+    # near-equal pieces: no side of a block differs from another by more than one
+    assert all(max(side) - min(side) <= 1 for side in (rows, inner, cols))
+
+
 def _node_filter(seq, u):
     """F node by node at the points of a 1-D u: a 2-D array is never folded."""
     return filter_value_finite(seq, u[:, None])[:, 0]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -6,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import ddfilter
 from ddfilter import (
     NonIntegrableSpectrum,
     OhmicSharpCutoff,
@@ -22,7 +27,7 @@ from ddfilter import (
     reflect,
     sampling_vector,
 )
-from ddfilter import oracle
+from ddfilter import filters, oracle
 from ddfilter.spectra import eval_spectrum
 
 TAU = 1.0
@@ -54,7 +59,8 @@ def test_autocovariance_ohmic_analytic():
 @pytest.mark.parametrize("n", [8, 1000, 8191, 8192])
 def test_grid_phasor_sums_match_dense(n, monkeypatch):
     """Factored phasors reproduce the dense cos and exp tables over several
-    omega blocks."""
+    omega blocks, whether each block is one real product or is split into
+    rows, columns and pieces of the contraction."""
     monkeypatch.setattr(oracle, "_PHASOR_BLOCK", 200)
     rng = np.random.default_rng(n)
     dt = 1.0 / n
@@ -62,13 +68,16 @@ def test_grid_phasor_sums_match_dense(n, monkeypatch):
     assert len(oracle._omega_blocks(om.size, n)) > 1
     t = np.arange(n) * dt
     w = rng.standard_normal(om.size)
-    want = w @ np.cos(np.outer(om, t))
-    got = oracle._grid_cos_sum(w, om, dt, n)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum()
     y = rng.uniform(-1.0, 1.0, n)
-    want = np.exp(1j * np.outer(om, t)) @ y
-    got = oracle._grid_transform(y, om, dt)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(y).sum()
+    want_cos = w @ np.cos(np.outer(om, t))
+    want_exp = np.exp(1j * np.outer(om, t)) @ y
+    for limits in [(1 << 19, 1 << 13), (500, 40)]:
+        monkeypatch.setattr(filters, "_REAL_SIZE", limits[0])
+        monkeypatch.setattr(filters, "_REAL_VECTOR_SIZE", limits[1])
+        got = oracle._grid_cos_sum(w, om, dt, n)
+        assert np.abs(got - want_cos).max() <= 1e-13 * np.abs(w).sum()
+        got = oracle._grid_transform(y, om, dt)
+        assert np.abs(got - want_exp).max() <= 1e-13 * np.abs(y).sum()
 
 
 def test_autocovariance_on_uniform_grid_closed_forms():
@@ -206,6 +215,26 @@ def test_grammian_matches_quadrature_chi():
             cf = chi(seq, spec, TAU)
             cg = grammian_chi(seq, spec, TAU, 4096)
             assert abs(cg - cf) / cf < 0.01, (fam, n, type(spec).__name__)
+
+
+@pytest.mark.parametrize("n", [4099, 10001, 10002])
+def test_grammian_equals_the_toeplitz_form(n):
+    """The FFT autocorrelation, padded to a 5-smooth length, gives the
+    same quadratic form as the explicit Toeplitz matrix C[j, k] =
+    c(|j - k| dt), also when 2n has a large prime factor (2 * 10,002 =
+    4 * 3 * 1667)."""
+    seq = make_canonical("udd", 5)
+    sv = sampling_vector(seq, TAU, n)
+    c = autocovariance(OHMIC, np.arange(n) * sv.dt)
+    # row j of the Toeplitz matrix is a window of (c[n-1], ..., c[1], c[0], ..., c[n-1]);
+    # the form is ~8,000 times smaller than its terms, so each row is summed
+    # pairwise
+    y = sv.values
+    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate([c[:0:-1], c]), n)[::-1]
+    cy = np.concatenate([np.add.reduce(toeplitz[i:i + 256] * y, axis=1)
+                         for i in range(0, n, 256)])
+    want = oracle.KAPPA * sv.amplitude ** 2 * sv.dt ** 2 * float(y @ cy)
+    assert grammian_chi(seq, OHMIC, TAU, n) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_grammian_reflection_invariance():
@@ -377,3 +406,39 @@ _SEQ = make_canonical("cpmg", 2)
 def test_oracle_rejects_non_integer_counts(call, name, value):
     with pytest.raises(ValueError, match=name):
         call(value)
+
+
+_ONE_THREAD = textwrap.dedent("""
+    import time
+    import numpy as np
+    from ddfilter import (OhmicSharpCutoff, SupraOhmicExp, filter_value, grammian_chi,
+                          make_canonical, monte_carlo_w)
+    ohmic = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)
+    supra = SupraOhmicExp(alpha=1.14e-2, omega_c=3.0)
+    u = np.linspace(0.1, 50.0, 16384)
+    time.sleep(0.2)     # loading OpenBLAS starts its workers with a brief spin
+    cpu, main, wall = time.process_time(), time.thread_time(), time.perf_counter()
+    for _ in range(3):
+        for n in (8192, 16384):
+            grammian_chi(make_canonical("cpmg", 4), ohmic, 1.0, n)
+        monte_carlo_w(make_canonical("udd", 4), supra, 25.0, 400, 8192, 7)
+        filter_value(make_canonical("udd", 15), u)
+    print(time.process_time() - cpu, time.thread_time() - main, time.perf_counter() - wall)
+""")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS cannot thread")
+def test_oracle_products_stay_on_the_calling_thread():
+    """The Grammian, the Monte Carlo pass and a folded filter grid keep
+    every BLAS product under the size at which OpenBLAS wakes its thread
+    pool, so the process uses no more CPU time than wall time, nor than
+    the calling thread (a woken pool can also stall the caller while the
+    other CPU is busy, at equal CPU and wall time). A fresh process, so
+    that no earlier test's BLAS workers are still spinning."""
+    src = os.path.dirname(os.path.dirname(ddfilter.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD], env=env,
+                          capture_output=True, text=True, check=True)
+    cpu, main, wall = map(float, proc.stdout.split())
+    assert cpu <= 1.3 * min(wall, main), (
+        f"process CPU {cpu:.3f} s, calling thread {main:.3f} s, wall {wall:.3f} s")
