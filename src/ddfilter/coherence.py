@@ -33,7 +33,8 @@ On both quadrature routes the chi weight the support drops, times max F,
 is added to the error, and the support is widened until it is within a
 tenth of the tolerance (only the supra-ohmic spectrum and unbounded power
 laws have such a tail), or raises ToleranceNotMet when the wider support
-would pass the quadrature's panel cap.
+would pass the quadrature's panel cap. A power law S ~ omega^p, p < 0, down
+to omega = 0 (spec.singular_exponent) adds geometric panels toward 0.
 
 The routes are evaluated over a tau grid; chi at one tau is the grid of
 one. coherence_curve groups the taus by sequence, and the pairwise route
@@ -44,7 +45,9 @@ integrated together by quadrature.integrate_batch: one integrand call per
 refinement round (in calls of at most 2^16 nodes), each tau keeping its
 own error budget, halving rule and support widening. The full panels of
 every tau are 2 pi / OSCILLATION_RESOLUTION wide in u = omega tau, so the
-panel evaluator builds one node table for the whole grid.
+panel evaluator builds one node table for the whole grid. LODD's chi
+objective hands the rows it cannot sum pairwise to the same batch, one job
+(and one filter) per row.
 
 All exponent conventions are anchored to the analytic white-noise FID
 result chi = S0*tau/2, which fixes the oracle calibration constants as
@@ -95,7 +98,10 @@ def _chi(seq, spec, tau, cfg, full_output=False):
             if full_output:
                 return value, {"path": "pairwise", "error_estimate": bound}
             return value
-    return _chi_quadrature(seq, spec, tau, cfg, full_output, series)
+    (out,) = _quadrature([(seq, tau, series)], spec, cfg)
+    if isinstance(out, ToleranceNotMet):
+        raise out
+    return out if full_output else out[0]
 
 
 def _pairwise(plan, deltas, spec, tau, cfg):
@@ -106,15 +112,6 @@ def _pairwise(plan, deltas, spec, tau, cfg):
     total, magnitude = plan.sums(deltas, lambda lag: spec.structure_function(tau * lag))
     value, bound = -2.0 * total + 0.0, 2.0 * PAIR_ROUNDING * magnitude
     return value, bound, bound <= 0.1 * cfg.rel_tol * value, bound >= abs(value)
-
-
-def _chi_quadrature(seq, spec, tau, cfg=None, full_output=False, series=False):
-    """chi by adaptive quadrature over the spectrum's effective support:
-    _quadrature on one job. Raises its ToleranceNotMet."""
-    (out,) = _quadrature([(seq, tau, series)], spec, cfg or QuadratureConfig())
-    if isinstance(out, ToleranceNotMet):
-        raise out
-    return out if full_output else out[0]
 
 
 def _quadrature(jobs, spec, cfg):
@@ -136,6 +133,8 @@ def _quadrature(jobs, spec, cfg):
     epsilon = [min(cfg.rel_tol / 10.0, 0.1)] * len(jobs)
     todo = list(range(len(jobs)))
     for widening in range(_WIDENINGS + 1):
+        if not todo:
+            break
         runs = _integrate_chi([jobs[i] for i in todo], [epsilon[i] for i in todo], spec, cfg)
         again = []
         for i, (result, err, failed, info) in zip(todo, runs):
@@ -155,8 +154,6 @@ def _quadrature(jobs, spec, cfg):
             else:
                 out[i] = (result, {"path": "quadrature", "error_estimate": err + dropped, **info})
         todo = again
-        if not todo:
-            break
     return out
 
 
@@ -169,14 +166,26 @@ def _panel_width(tau):
     return 2.0 * np.pi / (tau * OSCILLATION_RESOLUTION)
 
 
+# Geometric panels toward omega = 0 where S ~ omega^p, p < 0 (spec.singular_exponent):
+# the chi integrand of a filter with F ~ u^2 then goes as omega^p. Breakpoints
+# top 2^-j, j = 1..K, with top the support's end (so they follow rescale_time),
+# leave the first panel about 1e-12 of the integral: K = ceil(log2(1e12) / (p + 1)),
+# at most 400, where top 2^-K and its square stay normal doubles.
+_GRADED_SPAN, _MAX_GRADED = 1e12, 400
+
+
 def _integrate_chi(jobs, epsilons, spec, cfg):
     """(chi, error, failed, info) per (seq, tau, series) job, from quadrature
     on effective_support(spec, epsilon). Every job's full panels are
     2 pi / OSCILLATION_RESOLUTION wide in u = omega * tau (the filter's
     passband period over the resolution), so one node table serves them
-    all."""
+    all; a spectrum singular at omega = 0 adds geometric panels toward it
+    (_GRADED_SPAN)."""
     filters, which, infos, edge_sets = [], [], [], []
     direct = {}         # id(seq) -> index of its direct filter
+    p = spec.singular_exponent()
+    k = 0 if p is None else min(math.ceil(math.log2(_GRADED_SPAN) / (p + 1.0)), _MAX_GRADED)
+    graded = np.exp2(-np.arange(1.0, k + 1))     # fractions of the support's end
     for (seq, tau, series), epsilon in zip(jobs, epsilons):
         lo, hi = effective_support(spec, epsilon)
         if series:
@@ -193,8 +202,8 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
             info = {"filter": "direct"}
         info["support"] = (lo, hi)
         infos.append(info)
-        edge_sets.append(build_edges(lo, hi, breakpoints=spec.breakpoints(),
-                                     max_panel=_panel_width(tau)))
+        kinks = spec.breakpoints() + tuple(hi * graded)
+        edge_sets.append(build_edges(lo, hi, breakpoints=kinks, max_panel=_panel_width(tau)))
     taus, which = np.array([job[1] for job in jobs]), np.array(which)
 
     def integrand(om, owner):
@@ -300,13 +309,12 @@ def coherence_curve(source, spec, tau_grid, cfg=None):
             else:
                 jobs.append((seq, taus[i], route))
                 job_index.append(i)
-    if jobs:
-        try:
-            outs = _quadrature(jobs, spec, cfg)
-        except Exception:  # each job reports its own failure
-            outs = [_attempt(lambda job=job: _quadrature([job], spec, cfg)[0]) for job in jobs]
-        for i, out in zip(job_index, outs):
-            (failures if isinstance(out, Exception) else results)[i] = out
+    try:
+        outs = _quadrature(jobs, spec, cfg)
+    except Exception:  # each job reports its own failure
+        outs = [_attempt(lambda job=job: _quadrature([job], spec, cfg)[0]) for job in jobs]
+    for i, out in zip(job_index, outs):
+        (failures if isinstance(out, Exception) else results)[i] = out
 
     if failures:
         idx = sorted(failures)

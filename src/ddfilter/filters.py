@@ -23,12 +23,13 @@ product of fewer than 2^16 multiply-adds per block. A uniform 1-D grid
 segments) has the same form once folded into rows u_0 + h (q b + j) of
 b = ceil(sqrt(N)) points (_fold), and takes the same route. Logarithmic,
 reversed or perturbed grids, 2-D arrays without nodes and smaller
-grids go node by node (_node_z).
+grids go node by node (_node_z), which also takes rows of positions with
+one row of u each (the OFDD area fallback), so no sequence is built.
 
 The same filter also has the pairwise form F(u) = sum_jk c_j c_k
 cos(u (t_j - t_k)) over the switching times t_k of the toggling function
-and their coefficients c_k (pair_sums), which turns overlaps of F with a
-kernel into sums over pairs of switching times. The pairs, c_j c_k and the
+and their coefficients c_k, which turns overlaps of F with a kernel into
+sums over pairs of switching times. The pairs, c_j c_k and the
 width offsets depend only on n and the width, so pair_plan builds them
 once per (n, width) and each sum only gathers the positions.
 
@@ -46,7 +47,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .sequences import PulseSequence, quantize_timing
 
@@ -54,15 +54,16 @@ from .sequences import PulseSequence, quantize_timing
 def _segments(deltas, r):
     """Lengths g_k, midpoints m_k and signs s_k of the free-precession
     segments [delta_j + r/2, delta_(j+1) - r/2], with 0 and 1 at the ends:
-    a pulse of width ratio r blanks the toggling function on delta_j -+ r/2."""
-    a = np.concatenate([[0.0], deltas + 0.5 * r])
-    b = np.concatenate([deltas - 0.5 * r, [1.0]])
-    return b - a, 0.5 * (a + b), (-1.0) ** np.arange(a.size)
+    a pulse of width ratio r blanks the toggling function on delta_j -+ r/2.
+    A (rows, n) deltas gives lengths and midpoints per row, (rows, n + 1)."""
+    a = np.concatenate([np.zeros(deltas.shape[:-1] + (1,)), deltas + 0.5 * r], axis=-1)
+    b = np.concatenate([deltas - 0.5 * r, np.ones(deltas.shape[:-1] + (1,))], axis=-1)
+    return b - a, 0.5 * (a + b), (-1.0) ** np.arange(a.shape[-1])
 
 
-_PAIR_BLOCK = 1 << 20      # pairs per block: bounds pair_sums' memory
+_PAIR_BLOCK = 1 << 20      # pairs per block: bounds a pair sum's memory
 _PLAN_PAIRS = 1 << 16      # a plan up to this many pairs keeps its blocks (2 MB)
-# Rounding bound on a pair_sums total per unit of its magnitude sum: a few
+# Rounding bound on a pair-sum total per unit of its magnitude sum: a few
 # ulp per kernel value and product plus the summation, with a wide margin.
 PAIR_ROUNDING = 64.0 * np.finfo(float).eps
 
@@ -122,8 +123,12 @@ class _PairPlan:
                    self.offsets[k] - self.offsets[j])
 
     def sums(self, deltas, kernel):
-        """pair_sums' two sums at positions deltas, each term computed as
-        (c_j c_k) K((a_k - a_j) + (o_k - o_j)). A kernel that broadcasts the
+        """Pairwise overlap of the filter with an even kernel of the lag:
+        (sum_{j<k} c_j c_k K(t_k - t_j), sum_{j<k} |c_j c_k K(t_k - t_j)|)
+        over the switching times at positions deltas; the second sum scales
+        the rounding error of the first. kernel maps an array of positive
+        lags (fractions of the total time) to K, and each term is computed
+        as (c_j c_k) K((a_k - a_j) + (o_k - o_j)). A kernel that broadcasts the
         lags against a column of taus gives one pair of sums per tau (arrays),
         and so does a (rows, n) array of positions per row, taken
         taus_per_sum rows at a time; otherwise they are floats."""
@@ -151,19 +156,6 @@ class _PairPlan:
 
 
 pair_plan = functools.lru_cache(maxsize=16)(_PairPlan)    # pair_plan(n, width_ratio)
-
-
-def pair_sums(seq, kernel):
-    """Pairwise overlap of the filter with an even kernel of the lag.
-
-    Returns (sum_{j<k} c_j c_k K(t_k - t_j), sum_{j<k} |c_j c_k K(t_k - t_j)|,
-    c) over the switching times of seq (finite width included); the
-    second sum scales the rounding error of the first. kernel maps an
-    array of positive lags (fractions of the total time) to K. The
-    optimizer objectives call the cached pair_plan with arrays directly.
-    """
-    plan = pair_plan(seq.n, seq.width_ratio)
-    return (*plan.sums(seq.deltas, kernel), plan.c)
 
 
 # Multiply-adds per BLAS call. OpenBLAS 0.3.31 runs a call on the calling
@@ -226,10 +218,12 @@ def _real_product(a, b):
 
 
 def _node_z(deltas, u, r):
-    """ytilde(u)/(-2i) = sum_k s_k sin(u g_k/2) e^(iu m_k), node by node, any shape."""
+    """ytilde(u)/(-2i) = sum_k s_k sin(u g_k/2) e^(iu m_k), node by node, any
+    shape; with (rows, n) deltas, u's leading axis runs over the rows."""
     g, m, s = _segments(deltas, r)
-    uu = u.ravel()
-    z = (s[:, None] * np.sin(np.outer(g, uu) / 2.0) * np.exp(1j * np.outer(m, uu))).sum(axis=0)
+    g, m, s = g.T[..., None], m.T[..., None], s.reshape((-1,) + (1,) * deltas.ndim)
+    uu = u.reshape(deltas.shape[:-1] + (-1,))
+    z = (s * np.sin(g * uu / 2.0) * np.exp(1j * (m * uu))).sum(axis=0)
     return z.reshape(u.shape)
 
 
@@ -408,6 +402,7 @@ def _factorial_series(nu, h):
 def _series_degree(h, bound):
     """Smallest M whose Taylor tail bound h^(M+1) / (M+1)! / (1 - h/(M+2)),
     the tail of sum_m h^m/m! past degree M, is at most bound."""
+    from scipy.special import gammaln
     start = max(1, math.ceil(h))
     m = np.arange(start, start + math.ceil(8.0 * h + abs(math.log(bound))) + 8)
     log_tail = (m + 1) * math.log(h) - gammaln(m + 2) - np.log1p(-h / (m + 2))

@@ -17,9 +17,12 @@ constrained set.
 The objectives map a (rows, n) position array straight to one value per
 row, with no PulseSequence per evaluation: rows that make_custom would
 reject score inf, and the pairwise sums run on filters.pair_plan, built
-once per pulse count. Only a quadrature fallback (pairwise rounding bound
-too large, or a spectrum without a structure function) and the final
-result build a sequence; a DDError it raises propagates, or scores inf
+once per pulse count. The rows whose pairwise rounding bound is too large
+go to quadrature in one batch per objective call: the area's straight
+from their positions (filters._node_z over rows), chi's (also every row
+of a spectrum without a structure function) through the coherence
+quadrature, one sequence per row. Only those chi rows and the final
+result build a sequence; a DDError chi raises propagates, or scores inf
 in the search.
 """
 
@@ -30,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _chi_quadrature, _pairwise
+from .coherence import _pairwise, _quadrature
 from .errors import DDError, Infeasible, NotConverged, _integer
-from .filters import PAIR_ROUNDING, filter_value, pair_plan
+from .filters import PAIR_ROUNDING, _node_z, pair_plan
 from .oracle import _grid_cos_sum
-from .quadrature import QuadratureConfig, build_edges, integrate, panel_nodes
+from .quadrature import QuadratureConfig, build_edges, integrate_batch, panel_nodes
 from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
 
 
@@ -163,21 +166,24 @@ def _rows(score):
 
 def _chi_objective(spec, tau):
     """chi(make_custom(d), spec, tau, _OBJ_QUAD) per row d: the pairwise
-    route takes every row in one sum, quadrature builds a sequence per row."""
+    route takes every row in one sum, and the rows it leaves go to
+    quadrature together, one sequence per row."""
     def score(d, raise_on_fail):
         value = np.empty(len(d))
         done = series = np.zeros(len(d), dtype=bool)
         if spec.structure_function is not None:
             value, _bound, done, series = _pairwise(pair_plan(d.shape[1], 0.0), d, spec, tau,
                                                     _OBJ_QUAD)
-        for i in np.flatnonzero(~done):
-            try:
-                value[i] = _chi_quadrature(make_custom(d[i]), spec, tau, _OBJ_QUAD,
-                                           series=bool(series[i]))
-            except DDError:
-                if raise_on_fail:
-                    raise
-                value[i] = np.inf
+        rows = np.flatnonzero(~done)
+        try:
+            outs = _quadrature([(make_custom(d[i]), tau, bool(series[i])) for i in rows],
+                               spec, _OBJ_QUAD)
+        except DDError as exc:      # the batch raised: every row fails with it
+            outs = [exc] * rows.size
+        for i, out in zip(rows, outs):
+            if isinstance(out, DDError) and raise_on_fail:
+                raise out
+            value[i] = np.inf if isinstance(out, DDError) else out[0]
         return value
     return _rows(score)
 
@@ -203,10 +209,14 @@ def _area_objective(u_max):
         total, _mag = plan.sums(d, lambda lag: np.sin(u_max * lag) / lag)
         value = u_max * float(plan.c @ plan.c) + 2.0 * total
         bound = PAIR_ROUNDING * u_max * float(np.abs(plan.c).sum()) ** 2
-        for i in np.flatnonzero(~(bound <= 0.1 * _AREA_QUAD.rel_tol * value)):
-            seq = make_custom(d[i])
-            value[i] = integrate(lambda u: filter_value(seq, u), edges(), _AREA_QUAD,
-                                 raise_on_fail=False)[0]
+        rows = np.flatnonzero(~(bound <= 0.1 * _AREA_QUAD.rel_tol * value))
+        if rows.size:
+            def integrand(u, owner):    # F node by node, each panel at its row's positions
+                if d.shape[1] == 0:     # FID: sin^2(u/2), as filters._filter
+                    return np.sin(u / 2.0) ** 2
+                z = _node_z(d[rows[owner]], u, 0.0)
+                return 4.0 * (z.real ** 2 + z.imag ** 2)
+            value[rows] = integrate_batch(integrand, [edges()] * rows.size, _AREA_QUAD)[0]
         return value
     return _rows(score)
 

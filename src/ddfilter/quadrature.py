@@ -170,7 +170,7 @@ def _refine(f, edge_sets, cfg):
     return values, errors, counts, refused
 
 
-def integrate(f, edges, cfg=None, raise_on_fail=True):
+def integrate(f, edges, cfg=None):
     """Integrate an elementwise f, called on panels x len(NODES) node
     arrays, over the paneled interval.
 
@@ -181,7 +181,7 @@ def integrate(f, edges, cfg=None, raise_on_fail=True):
     cfg = cfg or QuadratureConfig()
     values, errors, panels = integrate_batch(lambda x, _owner: f(x), [edges], cfg)
     value, achieved = float(values[0]), float(errors[0])
-    if achieved > max(cfg.rel_tol * abs(value), ABS_TOL) and raise_on_fail:
+    if achieved > max(cfg.rel_tol * abs(value), ABS_TOL):
         raise ToleranceNotMet(
             f"quadrature error {achieved:.3e} above tolerance for value {value:.6e}",
             value=value,

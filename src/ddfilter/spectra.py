@@ -7,11 +7,11 @@ tabulated S are 1/time, supra-ohmic alpha is time^2, power-law amplitude
 is time^(p-1).
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammainccinv, sici
 
 from .errors import BadConfig, NonIntegrableSpectrum
 
@@ -24,6 +24,13 @@ _CIN_SERIES = np.array([0.0] + [(-1.0) ** (k + 1) / (2 * k * math.factorial(2 * 
 _WHITE_SERIES = np.array([0.0] + [(-1.0) ** k / ((2 * k + 1) * math.factorial(2 * k + 2))
                                    for k in range(0, 13)])
 _SERIES_MAX_X = 2.0
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use, so `import ddfilter` goes without it."""
+    import scipy.special
+    return scipy.special
 
 
 def _series_or(x, coeffs, closed_form):
@@ -39,12 +46,13 @@ def _series_or(x, coeffs, closed_form):
 
 def _cin(x):
     """Cin(x) = int_0^x (1 - cos s) / s ds = gamma + ln x - Ci(x), x >= 0."""
-    return _series_or(x, _CIN_SERIES, lambda y: _EULER + np.log(y) - sici(y)[1])
+    return _series_or(x, _CIN_SERIES, lambda y: _EULER + np.log(y) - _special().sici(y)[1])
 
 
 def _white_core(x):
     """int_0^x (1 - cos s) / s^2 ds, times x: x Si(x) - (1 - cos x), x >= 0."""
-    return _series_or(x, _WHITE_SERIES, lambda y: y * sici(y)[0] - 2.0 * np.sin(0.5 * y) ** 2)
+    return _series_or(x, _WHITE_SERIES,
+                      lambda y: y * _special().sici(y)[0] - 2.0 * np.sin(0.5 * y) ** 2)
 
 
 class Spectrum:
@@ -57,9 +65,10 @@ class Spectrum:
     scaled by k). It inherits, and overrides where it knows better:
     structure_function (None: no closed-form D, chi takes quadrature),
     tail_weight (the chi weight beyond the effective support, 0),
-    breakpoints (interior kinks for the panel edges, none) and
-    power_support (the interval holding all but epsilon of the total
-    power, the effective support).
+    breakpoints (interior kinks for the panel edges, none),
+    singular_exponent (p where S ~ omega^p, p < 0, reaches omega = 0,
+    none) and power_support (the interval holding all but epsilon of the
+    total power, the effective support).
     """
 
     variant = None
@@ -71,6 +80,9 @@ class Spectrum:
 
     def breakpoints(self):
         return ()
+
+    def singular_exponent(self):
+        return None
 
     def power_support(self, epsilon):
         return self.effective_support(epsilon)
@@ -195,6 +207,9 @@ class PowerLaw(Spectrum):
         w = self.effective_support(epsilon)[1]
         return (2.0 / np.pi) * self.amplitude * w ** (self.exponent - 1.0) / (1.0 - self.exponent)
 
+    def singular_exponent(self):
+        return self.exponent if self.omega_lo == 0 and self.exponent < 0 else None
+
     def power_support(self, epsilon):
         if math.isfinite(self.omega_hi):
             return (self.omega_lo, self.omega_hi)
@@ -233,7 +248,7 @@ class SupraOhmicExp(Spectrum):
     def effective_support(self, epsilon):
         # S/omega^2 = alpha*omega*exp(-omega/omega_c): tail fraction of the
         # a=2 incomplete gamma drops below epsilon at x = gammainccinv(2, eps)
-        return (0.0, self.omega_c * float(gammainccinv(2, epsilon)))
+        return (0.0, self.omega_c * float(_special().gammainccinv(2, epsilon)))
 
     def tail_weight(self, epsilon):
         """epsilon of the total chi weight (2/pi) alpha omega_c^2."""
@@ -241,7 +256,7 @@ class SupraOhmicExp(Spectrum):
 
     def power_support(self, epsilon):
         # total power integrand omega^3 exp(): a=4 gamma tail
-        return (0.0, self.omega_c * float(gammainccinv(4, epsilon)))
+        return (0.0, self.omega_c * float(_special().gammainccinv(4, epsilon)))
 
     def rescaled(self, k):
         return SupraOhmicExp(self.alpha * k ** 2, self.omega_c / k)

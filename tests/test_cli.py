@@ -213,6 +213,16 @@ def _python_console_script():
     return exe
 
 
+def test_import_leaves_scipy_special_unloaded():
+    """Importing the package and its CLI loads no scipy.special: the
+    functions that need it import it on first use."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ddfilter, ddfilter.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_subprocess_entry_points(tmp_path):
     out = tmp_path / "f.csv"
     proc = subprocess.run(

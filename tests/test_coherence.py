@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,14 +24,24 @@ from ddfilter import (
     make_custom,
     min_gap,
     reflect,
+    rescale_time,
     white_fid_chi,
 )
-from ddfilter.coherence import _chi_quadrature
-from ddfilter.filters import PAIR_ROUNDING, _switching_times, filter_value_finite, pair_sums
+from ddfilter.coherence import _quadrature
+from ddfilter.filters import PAIR_ROUNDING, _switching_times, filter_value_finite, pair_plan
 from ddfilter.quadrature import panel_nodes
 
 OHMIC = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)
 WHITE = WhiteBand(level=0.02, omega_hi=100.0)
+
+
+def _quadrature_chi(seq, spec, tau, cfg=None):
+    """(chi, full_output) by direct quadrature, whatever the pairwise route
+    would give; raises its ToleranceNotMet."""
+    (out,) = _quadrature([(seq, tau, False)], spec, cfg or QuadratureConfig())
+    if isinstance(out, ToleranceNotMet):
+        raise out
+    return out
 
 
 def test_frozen_reference_values():
@@ -89,7 +100,7 @@ def test_full_output_diagnostics():
     assert val == pytest.approx(0.0021362736767175792, rel=1e-9)
     assert diag["path"] == "pairwise"
     assert diag["error_estimate"] <= 1e-8 * val
-    quad, qdiag = _chi_quadrature(seq, OHMIC, 1.0, full_output=True)
+    quad, qdiag = _quadrature_chi(seq, OHMIC, 1.0)
     assert qdiag["path"] == "quadrature"
     assert quad == pytest.approx(val, rel=1e-9)
     assert qdiag["error_estimate"] <= 1e-8 * quad
@@ -236,13 +247,14 @@ def test_pairwise_chi_matches_quadrature(seq, spec, depth):
         # crossover (n ~ 100 and more) F lies below both evaluators'
         # rounding floors, and three rounds can be too few for a widened
         # supra-ohmic support.
-        total, magnitude, _ = pair_sums(seq, lambda lag: spec.structure_function(tau * lag))
+        total, magnitude = pair_plan(seq.n, seq.width_ratio).sums(
+            seq.deltas, lambda lag: spec.structure_function(tau * lag))
         assert 2.0 * PAIR_ROUNDING * magnitude >= abs(2.0 * total)
         return
     assert value >= 0.0
     if info["path"] != "pairwise":
         return
-    quad = _chi_quadrature(seq, spec, tau, cfg)
+    quad = _quadrature_chi(seq, spec, tau, cfg)[0]
     allowed = cfg.rel_tol * value + info["error_estimate"]
     if isinstance(spec, SupraOhmicExp):
         # S/omega^2 has total mass alpha omega_c^2; quadrature drops the
@@ -417,14 +429,6 @@ def test_unbounded_powerlaw_tail_past_the_panel_cap_raises():
         assert err.value.achieved > 1e-9 * abs(err.value.value), p
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ToleranceNotMet,
-    reason="under a power law with p < 0 and omega_lo = 0, a sequence whose F goes "
-    "as u^2 at 0 (fid, pdd2/4/6) has an integrand that goes as omega^p at 0; 12 "
-    "halvings of the first panel do not resolve that singularity (ROADMAP items 1 "
-    "and 2)",
-)
 def test_singular_powerlaw_chi_converges():
     """chi under PowerLaw(1, -0.5, 0, 5) returns for every canonical family;
     udd and cpmg, with F ~ u^4 at 0, already do."""
@@ -432,6 +436,50 @@ def test_singular_powerlaw_chi_converges():
     for seq in (make_canonical("udd", 4), make_canonical("cpmg", 4),
                 make_canonical("pdd", 2), make_canonical("fid")):
         assert np.isfinite(chi(seq, spec, 1.0))
+
+
+def _fid_chi_mp(p, mpmath):
+    """FID chi under PowerLaw(1, p, 0, 5) at tau 1 to 40 digits: the sin^2
+    form under omega = s^k, with k (p + 1) >= 1, so that no endpoint
+    singularity is left for mpmath."""
+    with mpmath.workdps(40):
+        k = max(10, math.ceil(1.0 / (p + 1.0)))
+        p = mpmath.mpf(p)
+        f = lambda s: k * s ** (k * p - k - 1) * mpmath.sin(s ** k / 2) ** 2
+        top = mpmath.mpf(5) ** (mpmath.mpf(1) / k)
+        return float(2 / mpmath.pi * mpmath.quad(f, mpmath.linspace(0, top, 9)))
+
+
+@pytest.mark.parametrize("p", [-0.1, -0.5, -0.9])
+def test_singular_powerlaw_chi_against_mpmath(p):
+    """S ~ omega^p (p < 0) down to omega = 0 grades the panels toward 0, so
+    chi returns for sequences with F ~ u^2 at 0, agrees with a 40-digit
+    reference, and is unchanged by rescale_time (the graded breakpoints
+    follow the support's end). At p = -0.9 the quadrature's estimate
+    understates its true error (the first graded panel's rule error is
+    not in it), so there the check is the 1e-12 the grading allows."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = PowerLaw(1.0, p, 0.0, 5.0)
+    value, info = chi(make_canonical("fid"), spec, 1.0, full_output=True)
+    allowed = info["error_estimate"] if p > -0.9 else 1e-12 * value
+    assert abs(value - _fid_chi_mp(p, mpmath)) <= allowed
+    scaled = rescale_time(spec, 1e-3)
+    for seq in (make_canonical("fid"), make_canonical("pdd", 2), make_canonical("pdd", 6),
+                make_canonical("udd", 4)):
+        value, info = chi(seq, spec, 1.0, full_output=True)
+        assert info["panels"] <= 401
+        assert chi(seq, scaled, 1e-3) == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+def test_nearly_non_integrable_powerlaw_raises_not_nan():
+    """At p = -0.99 the 400 graded panels (the cap that keeps omega^2
+    normal) leave the first panel too much of the integral: chi raises
+    ToleranceNotMet with a finite best value instead of returning NaN."""
+    spec = PowerLaw(1.0, -0.99, 0.0, 5.0)
+    for seq in (make_canonical("fid"), make_canonical("pdd", 2)):
+        with pytest.raises(ToleranceNotMet) as err:
+            chi(seq, spec, 1.0)
+        assert np.isfinite(err.value.value) and np.isfinite(err.value.achieved)
 
 
 def test_curve_takes_every_route_tau_by_tau():

@@ -485,3 +485,22 @@ def test_wide_pulses_match_the_cos_factor_form(family, n, seed, fill, top, start
     grid = np.linspace(start * u_max, u_max, max(16, -(-filters._FOLD_MIN // (n + 1))))
     assert filters._fold(grid, n + 1) is not None
     check(grid, (filter_value_finite(seq, grid), grid[-1]))
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_node_z_over_rows_is_each_rows_node_z(n, rows, seed, fill):
+    """_node_z on a (rows, n) position array, with a block of u per row,
+    gives each row's one-sequence _node_z bit for bit (the OFDD area
+    fallback evaluates its rows so)."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.05, 1.0, (rows, n + 1))
+    gaps /= gaps.sum(1, keepdims=True)
+    d = np.cumsum(gaps, axis=1)[:, :-1]
+    r = fill * gaps.min()
+    u = rng.uniform(0.0, 60.0, (rows, 3, 31))
+    z = filters._node_z(d, u, r)
+    assert z.shape == u.shape
+    for i in range(rows):
+        assert z[i].tobytes() == filters._node_z(d[i], u[i], r).tobytes()

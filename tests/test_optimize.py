@@ -48,7 +48,9 @@ from ddfilter.optimize import (
     _kernel_chi_objective,
 )
 from ddfilter import filters
-from ddfilter.filters import _PAIR_BLOCK, PAIR_ROUNDING, _switching_times, pair_sums
+from ddfilter.filters import _PAIR_BLOCK, PAIR_ROUNDING, _switching_times, pair_plan
+from ddfilter.quadrature import _CALL_NODES, NODES, integrate_batch
+from ddfilter.sequences import PulseSequence
 
 OHMIC = OhmicSharpCutoff(amplitude=1.0, omega_d=1.0)
 SUPRA = SupraOhmicExp(alpha=1.14e-2, omega_c=3.0)
@@ -213,6 +215,13 @@ def test_filter_area_is_the_ideal_filter_area():
     assert filter_area(make_canonical("fid"), 5.0) == 2.979462137331569
     assert filter_area(make_canonical("fid"), 5.0) == pytest.approx(
         2.5 - 0.5 * math.sin(5.0), rel=1e-15)
+    # below u_max ~ 0.04 the sum cancels past its bound: quadrature of sin^2(u/2)
+    for u in (0.01, 0.03):
+        with mock.patch("ddfilter.optimize.integrate_batch", wraps=integrate_batch) as batch:
+            area = filter_area(make_canonical("fid"), u)
+        assert batch.call_count == 1
+        want = sum((-1) ** k * u ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(6))
+        assert area == pytest.approx(0.5 * want, rel=1e-12)
 
 
 def test_filter_area_builds_panel_edges_only_for_the_fallback():
@@ -248,8 +257,9 @@ def test_pairwise_area_matches_quadrature():
     cfg = QuadratureConfig(rel_tol=1e-9, max_subdivisions=6)
     for seq, u_max in [(make_canonical("pdd", 2), 4.0), (make_canonical("udd", 6), 10.0),
                        (make_canonical("cpmg", 6), 10.0), (make_custom([0.2, 0.3, 0.9]), 7.5)]:
-        total, _mag, c = pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
-        pairwise = u_max * float(c @ c) + 2.0 * total
+        plan = pair_plan(seq.n, 0.0)
+        total, _mag = plan.sums(seq.deltas, lambda lag: np.sin(u_max * lag) / lag)
+        pairwise = u_max * float(plan.c @ plan.c) + 2.0 * total
         edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 8)
         quad, _err, _panels = integrate(lambda u: filter_value(seq, u), edges, cfg)
         assert pairwise == pytest.approx(quad, rel=1e-9)
@@ -347,7 +357,7 @@ def test_optimizer_entry_points_reject_bad_input(call):
 # --------------------------------------------- array objectives, bit for bit
 
 def _reference_pair_sums(seq, kernel, block=_PAIR_BLOCK):
-    """pair_sums as np.nonzero pairs over the switching times in blocks of
+    """The pair plan's sums as np.nonzero pairs over the switching times in blocks of
     rows, each term c_j c_k K((a_k - a_j) + (o_k - o_j)): the loop the pair
     plan replaces."""
     a, o, c = _switching_times(seq)
@@ -373,7 +383,7 @@ def _reference_area(deltas, u_max):
     if PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2 <= 0.1 * _AREA_QUAD.rel_tol * value:
         return value
     edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 8)
-    return integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD, raise_on_fail=False)[0]
+    return integrate_batch(lambda u, _owner: filter_value(seq, u), [edges], _AREA_QUAD)[0][0]
 
 
 def _outcome(f, *args):
@@ -429,7 +439,8 @@ def test_array_objectives_are_bit_identical(d, which, log_tau, u_max):
     kernel = OHMIC.structure_function
     for width in (0.0, 0.5 * (np.diff(np.concatenate([[0.0], d, [1.0]])).min())):
         seq = make_custom(d, width_ratio=width)
-        assert pair_sums(seq, kernel)[:2] == _reference_pair_sums(seq, kernel)
+        assert pair_plan(seq.n, seq.width_ratio).sums(seq.deltas, kernel) == \
+            _reference_pair_sums(seq, kernel)
         # several blocks, rebuilt on every sum as above _PLAN_PAIRS
         with mock.patch.object(filters, "_PAIR_BLOCK", 7), \
                 mock.patch.object(filters, "_PLAN_PAIRS", 0):
@@ -461,17 +472,20 @@ def test_invalid_positions_score_inf(raw):
 
 
 def test_a_failing_chi_is_inf_to_the_search_and_raises_elsewhere():
-    """A chi whose quadrature raises scores inf in the search, but the
-    canonical baselines and BADD's re-scoring raise it, as chi does."""
+    """A chi whose quadrature batch raises, or returns a job's
+    ToleranceNotMet, scores inf in the search, but the canonical baselines
+    and BADD's re-scoring raise it, as chi does."""
     d = canonical_deltas("udd", 3)
-    with mock.patch("ddfilter.optimize._chi_quadrature",
-                    side_effect=ToleranceNotMet("refused")):
-        assert _chi_objective(TAB5, 2.0)([d, d], raise_on_fail=False).tolist() == [np.inf] * 2
-        for call in (lambda: _one_row(_chi_objective(TAB5, 2.0), d),
-                     lambda: optimize_lodd(TAB5, 3, 2.0, FAST),
-                     lambda: optimize_badd(TAB5, 5.0, 0.8, 2, FAST)):
-            with pytest.raises(ToleranceNotMet, match="refused"):
-                call()
+    for side_effect in (ToleranceNotMet("refused"),                 # the batch raises
+                        lambda jobs, spec, cfg: [ToleranceNotMet("refused")] * len(jobs)):
+        with mock.patch("ddfilter.optimize._quadrature", side_effect=side_effect):
+            assert _chi_objective(TAB5, 2.0)([d, d], raise_on_fail=False).tolist() == \
+                [np.inf] * 2
+            for call in (lambda: _one_row(_chi_objective(TAB5, 2.0), d),
+                         lambda: optimize_lodd(TAB5, 3, 2.0, FAST),
+                         lambda: optimize_badd(TAB5, 5.0, 0.8, 2, FAST)):
+                with pytest.raises(ToleranceNotMet, match="refused"):
+                    call()
 
 
 @st.composite
@@ -513,6 +527,58 @@ def test_objective_rows_are_independent(rows, which, log_tau, u_max):
             if reference is not None:
                 want = reference(d)
                 assert value == (np.inf if isinstance(want, type) else want)
+
+
+def test_objective_fallback_rows_take_one_quadrature_batch(monkeypatch):
+    """An objective call hands all its quadrature rows to one
+    integrate_batch call, each row its own edge set, and the area fallback
+    builds no PulseSequence: F comes straight from the rows' positions."""
+    built = []
+    real = PulseSequence.__post_init__
+    monkeypatch.setattr(PulseSequence, "__post_init__",
+                        lambda self: built.append(1) or real(self))
+    rows = np.array([canonical_deltas(family, 6) for family in ("udd", "cpmg", "pdd")])
+    area = _area_objective(2.0)         # no row keeps its digits in the pairwise sum
+    with mock.patch("ddfilter.optimize.integrate_batch", wraps=integrate_batch) as batch:
+        values = area(rows)
+    assert batch.call_count == 1 and len(batch.call_args.args[1]) == len(rows)
+    assert built == []
+    assert values.tolist() == [_reference_area(d, 2.0) for d in rows]
+    with mock.patch("ddfilter.coherence.integrate_batch", wraps=integrate_batch) as batch:
+        values = _chi_objective(TAB5, 2.0)(rows)     # no structure function: every row
+    assert batch.call_count == 1 and len(batch.call_args.args[1]) == len(rows)
+    assert values.tolist() == [chi(make_custom(d), TAB5, 2.0, _OBJ_QUAD) for d in rows]
+
+
+def test_chi_batch_past_one_integrand_call_is_chi_row_by_row():
+    """Twelve rows at tau 400 come to about 15,000 panels, so the batch
+    spans several integrand calls of _CALL_NODES nodes and rows straddle
+    them. A row's panels may then meet the filter in other groups than
+    alone, so each row agrees with chi alone within chi's error estimate
+    plus 16 eps chi of rounding (the estimate leaves rounding out; 1 row
+    in 12 here is 2 ulp off); the rows of a batch that fits one call agree
+    bit for bit."""
+    spec = PowerLaw(0.2, 0.5, 0.01, 5.0)
+    rng = np.random.default_rng(0)
+    gaps = rng.uniform(0.05, 1.0, (12, 7))
+    rows = gaps_to_deltas(gaps / gaps.sum(1, keepdims=True))
+    alone = [chi(make_custom(d), spec, 400.0, _OBJ_QUAD, full_output=True) for d in rows]
+    assert sum(info["panels"] for _v, info in alone) > 2 * (_CALL_NODES // NODES.size)
+    for value, (want, info) in zip(_chi_objective(spec, 400.0)(rows), alone):
+        assert abs(value - want) <= info["error_estimate"] + 16.0 * np.finfo(float).eps * want
+    alone = [chi(make_custom(d), spec, 4.0, _OBJ_QUAD, full_output=True) for d in rows]
+    assert sum(info["panels"] for _v, info in alone) < _CALL_NODES // NODES.size
+    assert _chi_objective(spec, 4.0)(rows).tolist() == [v for v, _info in alone]
+
+
+def test_badd_on_a_power_law_singular_at_zero():
+    """S ~ omega^-0.5 down to omega = 0: BADD searches on the kernel table
+    and scores every per-n winner with chi, which now returns there; the
+    winner beats every projected baseline."""
+    res = optimize_badd(PowerLaw(1.0, -0.5, 0.0, 5.0), 5.0, 0.8, 3)
+    assert res.diagnostics["kernel_objective"] and res.sequence.n == 3
+    assert res.objective_value == pytest.approx(5.61651, rel=1e-5)
+    assert res.objective_value < min(res.baseline_values.values())
 
 
 def test_row_batches_stay_within_the_pair_block():

@@ -411,6 +411,7 @@ def test_oracle_rejects_non_integer_counts(call, name, value):
 _ONE_THREAD = textwrap.dedent("""
     import time
     import numpy as np
+    import scipy.special    # ddfilter imports it on first use; it loads SciPy's OpenBLAS
     from ddfilter import (OhmicSharpCutoff, SupraOhmicExp, filter_value, grammian_chi,
                           make_canonical, monte_carlo_w)
     ohmic = OhmicSharpCutoff(amplitude=0.1, omega_d=5.0)

@@ -49,17 +49,8 @@ def test_tolerance_not_met_carries_payload():
     edges = build_edges(0.0, 1.0)
     with pytest.raises(ToleranceNotMet) as ei:
         integrate(f, edges, cfg)
-    assert ei.value.value is not None
+    assert np.isfinite(ei.value.value)
     assert ei.value.achieved > 1e-14
-
-
-def test_raise_on_fail_false_returns_best():
-    f = lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-10)
-    cfg = QuadratureConfig(rel_tol=1e-14, max_subdivisions=1)
-    edges = build_edges(0.0, 1.0)
-    value, achieved, _ = integrate(f, edges, cfg, raise_on_fail=False)
-    assert np.isfinite(value)
-    assert achieved > 1e-14
 
 
 def test_config_validation():

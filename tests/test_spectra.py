@@ -58,6 +58,12 @@ def test_powerlaw_form_and_validation():
     with pytest.raises(NonIntegrableSpectrum):
         PowerLaw(amplitude=1.0, exponent=-0.5, omega_lo=0.1, omega_hi=np.inf)
     PowerLaw(amplitude=1.0, exponent=-1.5, omega_lo=0.1, omega_hi=np.inf)
+    # S/omega^2 is singular at omega = 0 only for p < 0 down to 0
+    assert PowerLaw(1.0, -0.5, 0.0, 5.0).singular_exponent() == -0.5
+    assert rescale_time(PowerLaw(1.0, -0.5, 0.0, 5.0), 1e3).singular_exponent() == -0.5
+    for spec in (PowerLaw(1.0, -0.5, 0.1, 5.0), PowerLaw(1.0, 0.0, 0.0, 5.0), s,
+                 OhmicSharpCutoff(1.0, 1.0)):
+        assert spec.singular_exponent() is None
 
 
 def test_supra_ohmic_form_and_supports():
@@ -201,6 +207,7 @@ def test_new_spectrum_inherits_the_defaults():
     assert flat.to_dict() == {"variant": "flat", "level": 0.02, "omega_hi": 40.0}
     assert flat.structure_function is None and flat.tail_weight(1e-9) == 0.0
     assert flat.breakpoints() == () and flat.power_support(1e-9) == (0.0, 40.0)
+    assert flat.singular_exponent() is None
     seq = make_canonical("cpmg", 4)
     value, info = chi(seq, flat, 2.0, full_output=True)
     assert info["path"] == "quadrature"
