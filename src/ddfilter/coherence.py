@@ -183,11 +183,17 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
     (_GRADED_SPAN)."""
     filters, which, infos, edge_sets = [], [], [], []
     direct = {}         # id(seq) -> index of its direct filter
+    supports = {}       # (epsilon, tau) -> (lo, hi, edges), shared by its jobs
     p = spec.singular_exponent()
     k = 0 if p is None else min(math.ceil(math.log2(_GRADED_SPAN) / (p + 1.0)), _MAX_GRADED)
     graded = np.exp2(-np.arange(1.0, k + 1))     # fractions of the support's end
     for (seq, tau, series), epsilon in zip(jobs, epsilons):
-        lo, hi = effective_support(spec, epsilon)
+        if (epsilon, tau) not in supports:
+            lo, hi = effective_support(spec, epsilon)
+            kinks = spec.breakpoints() + tuple(hi * graded)
+            supports[epsilon, tau] = lo, hi, build_edges(lo, hi, breakpoints=kinks,
+                                                         max_panel=_panel_width(tau))
+        lo, hi, edges = supports[epsilon, tau]
         if series:
             filt = StopBandFilter(seq, hi * tau)
             which.append(len(filters))
@@ -202,8 +208,7 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
             info = {"filter": "direct"}
         info["support"] = (lo, hi)
         infos.append(info)
-        kinks = spec.breakpoints() + tuple(hi * graded)
-        edge_sets.append(build_edges(lo, hi, breakpoints=kinks, max_panel=_panel_width(tau)))
+        edge_sets.append(edges)
     taus, which = np.array([job[1] for job in jobs]), np.array(which)
 
     def integrand(om, owner):

@@ -6,7 +6,7 @@ Conventions: dB = 10*log10(F) (power), octave = factor 2 in u.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,9 @@ FLOOR = 1e-30      # hard numeric floor used for ratio masking
 
 PASSBAND_LO = 100.0 * np.pi
 PASSBAND_HI = 200.0 * np.pi
+# F's fastest cosine, cos(u (t_j - t_k)) with |t_j - t_k| <= 1, has a period of
+# at least 2 pi: these points give 400 or more per period at any n
+PASSBAND_POINTS = 20001
 _EPS = np.finfo(float).eps
 
 
@@ -38,13 +41,7 @@ class FilterMetrics:
     fit_window: tuple
 
     def to_dict(self):
-        return {
-            "u_f1": self.u_f1,
-            "rolloff_db_per_octave": self.rolloff_db_per_octave,
-            "passband_mean": self.passband_mean,
-            "passband_ripple_db": self.passband_ripple_db,
-            "fit_window": list(self.fit_window),
-        }
+        return {**asdict(self), "fit_window": list(self.fit_window)}
 
 
 class PassbandStats(NamedTuple):
@@ -61,12 +58,7 @@ class BandpassProfile:
     flag: str  # "bandpass" or "plateau" (monotone low-pass profiles)
 
     def to_dict(self):
-        return {
-            "peak_omega": self.peak_omega,
-            "bandwidth": self.bandwidth,
-            "out_of_band_rejection_db": self.out_of_band_rejection_db,
-            "flag": self.flag,
-        }
+        return asdict(self)
 
 
 def omega_f1(samples):
@@ -103,15 +95,15 @@ def omega_f1(samples):
     return float(0.5 * (lo + hi))
 
 
-def _clean_window_indices(samples):
-    """Contiguous low-frequency window with F in [CLEAN_LO, CLEAN_HI]."""
-    F = samples.values
-    above = np.nonzero(F > CLEAN_HI)[0]
+def _clean_span(samples):
+    """u bounds of the contiguous low-frequency span with F in [CLEAN_LO, CLEAN_HI]."""
+    u, F = samples.u_grid, samples.values
+    above = np.flatnonzero(F > CLEAN_HI)
     hi = int(above[0]) if above.size else F.size
-    ok = np.nonzero(F[:hi] >= CLEAN_LO)[0]
+    ok = np.flatnonzero(F[:hi] >= CLEAN_LO)
     if ok.size < 2:
         raise NumericFloor("no clean stop-band span above the numeric floor")
-    return int(ok[0]), hi  # [lo, hi) index range
+    return u[ok[0]], u[hi - 1]
 
 
 def rolloff(samples, window=None):
@@ -122,8 +114,7 @@ def rolloff(samples, window=None):
     explicit (u_lo, u_hi) pair which must sit inside the clean range.
     """
     u = samples.u_grid
-    ilo, ihi = _clean_window_indices(samples)
-    clean_lo_u, clean_hi_u = u[ilo], u[ihi - 1]
+    clean_lo_u, clean_hi_u = _clean_span(samples)
     if window == "clean":
         lo_u, hi_u = clean_lo_u, clean_hi_u
     elif window is None:
@@ -158,49 +149,44 @@ def _fit_slope(samples, lo_u, hi_u):
     return float(slope)
 
 
-def passband_stats(samples, n=None, points=20001):
+def passband_stats(samples):
     """Mean and ripple of F over u in [100*pi, 200*pi] on a linear grid.
 
     The log-spaced sample grid under-resolves the passband oscillation,
-    so the statistic re-evaluates the same variant on a dense linear
-    grid. Returns (mean, ripple_db, relative deviation from 4n+2).
+    so the statistic re-evaluates the same variant on PASSBAND_POINTS
+    evenly spaced points. Returns (mean, ripple_db, relative deviation
+    from 4n+2), n the samples' pulse count.
 
     ripple_db is inf when F touches 0 on that grid, that is when its
     minimum is at or below the evaluator's rounding floor 4 (eps (n + 1)
-    (u + 1))^2 at u = 200*pi, n the samples' pulse count. F = |sum_k c_k e^(iu t_k)|^2 with
+    (u + 1))^2 at u = 200*pi. F = |sum_k c_k e^(iu t_k)|^2 with
     sum_k |c_k| = 2(n + 1) (finite width too), and each phasor carries
     the argument's rounding eps u t_k <= eps u plus a few eps of its own,
     so where F vanishes the computed sum is at most 2 eps (n + 1)(u + 1).
     cpmg2 and cpmg4 touch 0 at multiples of 8*pi and 16*pi.
     """
-    if n is None:
-        n = samples.n
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points!r}")
     if samples.u_grid[-1] < PASSBAND_HI:
         raise InsufficientSpan(
             f"grid ends at {samples.u_grid[-1]:g}, below {PASSBAND_HI:g}"
         )
-    uu = np.linspace(PASSBAND_LO, PASSBAND_HI, points)
+    uu = np.linspace(PASSBAND_LO, PASSBAND_HI, PASSBAND_POINTS)
     vals = samples.evaluate(uu)
     mean = float(np.trapezoid(vals, uu) / (PASSBAND_HI - PASSBAND_LO))
     lowest = vals.min()
     floor = 4.0 * (_EPS * (samples.n + 1) * (PASSBAND_HI + 1.0)) ** 2
     ripple_db = float(10.0 * np.log10(vals.max() / lowest)) if lowest > floor else math.inf
-    target = 4.0 * n + 2.0
+    target = 4.0 * samples.n + 2.0
     return PassbandStats(mean, ripple_db, abs(mean - target) / target)
 
 
 def filter_metrics(samples):
     """Bundle of the scalar diagnostics for one sampled filter."""
     f1 = omega_f1(samples)
-    ilo, ihi = _clean_window_indices(samples)
-    lo_u, hi_u = _default_window(f1, samples.u_grid[ilo], samples.u_grid[ihi - 1])
-    slope = _fit_slope(samples, lo_u, hi_u)
+    lo_u, hi_u = _default_window(f1, *_clean_span(samples))
     stats = passband_stats(samples)
     return FilterMetrics(
         u_f1=f1,
-        rolloff_db_per_octave=slope,
+        rolloff_db_per_octave=_fit_slope(samples, lo_u, hi_u),
         passband_mean=stats.mean,
         passband_ripple_db=stats.ripple_db,
         fit_window=(lo_u, hi_u),
@@ -227,54 +213,37 @@ def bandpass_profile(seq, tau, omega_grid):
     if not np.any(vals > 0):
         raise NoPeak("modified filter vanishes on the grid")
     j = int(np.argmax(vals))
-    interior = 0 < j < om.size - 1
-    if interior:
-        flag = "bandpass"
-        l = j
-        while l > 0 and vals[l - 1] < vals[l]:
-            l -= 1
-        rr = j
-        while rr < om.size - 1 and vals[rr + 1] < vals[rr]:
-            rr += 1
-        peak_omega = float(om[j])
-    else:
-        flag = "plateau"
-        j = 0 if vals[0] >= vals[-1] else om.size - 1
-        peak_omega = float(om[j])
-        l = 0
-        rr = j
-        while rr < om.size - 1 and vals[rr + 1] < vals[rr]:
-            rr += 1
+    # the lobe [l, rr] falls strictly from j on each side; a plateau keeps
+    # everything left of its peak
+    rr = j + int(np.flatnonzero(np.append(~(vals[j + 1:] < vals[j:-1]), True))[0])
+    flag, l = "plateau", 0
+    if 0 < j < om.size - 1:
+        flag, l = "bandpass", int(np.flatnonzero(np.r_[True, ~(vals[:j] < vals[1:j + 1])])[-1])
     peak = vals[j]
     half = peak / 2.0
     # half-max crossings inside the lobe, linearly interpolated
-    left = om[l]
-    for k in range(j, l, -1):
-        if vals[k - 1] < half <= vals[k]:
-            t = (half - vals[k - 1]) / (vals[k] - vals[k - 1])
-            left = om[k - 1] + t * (om[k] - om[k - 1])
-            break
-    right = om[rr]
-    for k in range(j, rr):
-        if vals[k + 1] < half <= vals[k]:
-            t = (vals[k] - half) / (vals[k] - vals[k + 1])
-            right = om[k] + t * (om[k + 1] - om[k])
-            break
-    bandwidth = float(right - left)
-    outside = np.ones(om.size, dtype=bool)
-    outside[l:rr + 1] = False
-    if flag == "plateau":
-        outside[: rr + 1] = False
-    if outside.any() and np.any(vals[outside] > 0):
-        rejection = float(10.0 * np.log10(peak / vals[outside].max()))
-    else:
-        rejection = float("inf")
+    left, right = om[l], om[rr]
+    up = np.flatnonzero((vals[l:j] < half) & (half <= vals[l + 1:j + 1]))
+    if up.size:
+        k = l + 1 + up[-1]
+        t = (half - vals[k - 1]) / (vals[k] - vals[k - 1])
+        left = om[k - 1] + t * (om[k] - om[k - 1])
+    down = np.flatnonzero((vals[j + 1:rr + 1] < half) & (half <= vals[j:rr]))
+    if down.size:
+        k = j + down[0]
+        t = (vals[k] - half) / (vals[k] - vals[k + 1])
+        right = om[k] + t * (om[k + 1] - om[k])
+    rest = np.concatenate([vals[:l], vals[rr + 1:]])
+    rejection = float(10.0 * np.log10(peak / rest.max())) if np.any(rest > 0) else math.inf
     return BandpassProfile(
-        peak_omega=peak_omega,
-        bandwidth=bandwidth,
+        peak_omega=float(om[j]),
+        bandwidth=float(right - left),
         out_of_band_rejection_db=max(rejection, 0.0),
         flag=flag,
     )
+
+
+_FLAGS = np.array(["lt1", "gt1", "eq", "masked"], dtype=object)   # one str each, shared
 
 
 @dataclass(frozen=True)
@@ -302,14 +271,5 @@ def filter_ratio(samples_a, samples_b):
     masked = (fa < FLOOR) & (fb < FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(masked, np.nan, fa / np.where(fb == 0, np.nan, fb))
-    flags = []
-    for m, r in zip(masked, ratio):
-        if m or not np.isfinite(r):
-            flags.append("masked" if m else "gt1")
-        elif r < 1.0:
-            flags.append("lt1")
-        elif r > 1.0:
-            flags.append("gt1")
-        else:
-            flags.append("eq")
-    return ComparisonSamples(samples_a.u_grid, ratio, tuple(flags))
+    codes = np.select([masked, ~np.isfinite(ratio), ratio < 1.0, ratio == 1.0], [3, 1, 0, 2], 1)
+    return ComparisonSamples(samples_a.u_grid, ratio, tuple(_FLAGS[codes]))

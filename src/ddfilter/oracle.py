@@ -191,6 +191,8 @@ def autocovariance(spec, lags, cfg=None):
     cfg = cfg or QuadratureConfig()
     scalar = np.isscalar(lags)
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
+    if not np.isfinite(lags).all():
+        raise ValueError("lags must be finite")
     grid = (lags.size > 1 and lags[1] > 0
             and np.array_equal(lags, np.arange(lags.size) * lags[1]))
     lo, hi = spec.power_support(min(cfg.rel_tol / 10.0, 0.1))

@@ -58,8 +58,10 @@ def build_edges(a, b, breakpoints=(), max_panel=None):
 
     Between kinks the panels are max_panel wide, but the last, which takes
     the remainder, so integrals whose caps map to one width in u share it."""
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    if not (max_panel is None or 0 < max_panel < math.inf):
+        raise ValueError(f"max_panel must be finite and > 0, got {max_panel!r}")
     pts = np.array([a] + sorted(p for p in breakpoints if a < p < b) + [b], dtype=float)
     if max_panel is None:
         return pts
@@ -114,6 +116,8 @@ def integrate_batch(f, edge_sets, cfg=None):
     edge_sets = [np.asarray(e, dtype=float) for e in edge_sets]
     if any(e.size < 2 for e in edge_sets):
         raise ValueError("need at least two panel edges")
+    if not np.isfinite(np.concatenate(edge_sets)).all():
+        raise ValueError("panel edges must be finite")
     values, errors, counts, refused = _refine(f, edge_sets, cfg)
     if len(edge_sets) > 1:
         for k in np.flatnonzero(refused):

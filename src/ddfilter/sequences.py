@@ -16,6 +16,7 @@ from .errors import (
     GapViolation,
     NonMonotonic,
     OutOfRange,
+    _integer,
 )
 
 
@@ -76,6 +77,7 @@ def _validate(deltas, width_ratio):
 def canonical_deltas(family, n):
     """Fractional pulse positions for a canonical family at pulse count n."""
     family = family.lower()
+    n = _integer(n, f"{family} pulse count n", 1)
     j = np.arange(1, n + 1, dtype=float)
     if family == "cpmg":
         return (j - 0.5) / n
@@ -95,9 +97,7 @@ def make_canonical(family, n=None):
         return PulseSequence(deltas=(), label="fid")
     if family not in ("cpmg", "pdd", "udd"):
         raise ValueError(f"unknown family: {family!r}")
-    if n is None or n < 1:
-        raise ValueError(f"{family} requires n >= 1, got {n}")
-    return PulseSequence(deltas=tuple(canonical_deltas(family, int(n))), label=family)
+    return PulseSequence(deltas=tuple(canonical_deltas(family, n)), label=family)
 
 
 def make_custom(deltas, width_ratio=0.0, label="custom"):

@@ -104,8 +104,8 @@ class OhmicSharpCutoff(Spectrum):
     omega_d: float
 
     def __post_init__(self):
-        if not (self.amplitude >= 0 and self.omega_d > 0):
-            raise BadConfig("ohmic spectrum needs amplitude >= 0 and omega_d > 0")
+        if not (0 <= self.amplitude < math.inf and 0 < self.omega_d < math.inf):
+            raise BadConfig("ohmic spectrum needs finite amplitude >= 0 and omega_d > 0")
 
     def evaluate(self, omega):
         omega = _check_omega(omega)
@@ -131,8 +131,8 @@ class WhiteBand(Spectrum):
     omega_hi: float
 
     def __post_init__(self):
-        if not (self.level >= 0 and self.omega_hi > 0):
-            raise BadConfig("white band needs level >= 0 and omega_hi > 0")
+        if not (0 <= self.level < math.inf and self.omega_hi > 0):
+            raise BadConfig("white band needs a finite level >= 0 and omega_hi > 0")
 
     def evaluate(self, omega):
         omega = _check_omega(omega)
@@ -170,8 +170,8 @@ class PowerLaw(Spectrum):
     omega_hi: float
 
     def __post_init__(self):
-        if not (self.amplitude >= 0 and math.isfinite(self.exponent)):
-            raise BadConfig("power law needs amplitude >= 0 and a finite exponent")
+        if not (0 <= self.amplitude < math.inf and math.isfinite(self.exponent)):
+            raise BadConfig("power law needs a finite amplitude >= 0 and a finite exponent")
         if not (0 <= self.omega_lo < self.omega_hi):
             raise BadConfig("power law needs 0 <= omega_lo < omega_hi")
         if self.exponent <= -1 and self.omega_lo <= 0:
@@ -230,8 +230,8 @@ class SupraOhmicExp(Spectrum):
     omega_c: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0 and self.omega_c > 0):
-            raise BadConfig("supra-ohmic spectrum needs alpha >= 0 and omega_c > 0")
+        if not (0 <= self.alpha < math.inf and 0 < self.omega_c < math.inf):
+            raise BadConfig("supra-ohmic spectrum needs finite alpha >= 0 and omega_c > 0")
 
     def evaluate(self, omega):
         omega = _check_omega(omega)
@@ -275,10 +275,10 @@ class Tabulated(Spectrum):
         sv = np.asarray(self.values, dtype=float)
         if om.size < 2 or om.size != sv.size:
             raise BadConfig("tabulated spectrum needs >= 2 (omega, S) pairs")
-        if not (om[0] > 0 and np.all(np.diff(om) > 0)):
-            raise BadConfig("tabulated abscissae must be positive and strictly increasing")
-        if not np.all(sv >= 0):
-            raise BadConfig("tabulated S values must be non-negative")
+        if not (om[0] > 0 and np.all(np.diff(om) > 0) and om[-1] < math.inf):
+            raise BadConfig("tabulated abscissae must be finite, positive and strictly increasing")
+        if not np.all((sv >= 0) & (sv < math.inf)):
+            raise BadConfig("tabulated S values must be finite and non-negative")
         object.__setattr__(self, "omegas", tuple(float(x) for x in om))
         object.__setattr__(self, "values", tuple(float(x) for x in sv))
 
@@ -319,8 +319,8 @@ def effective_support(spec, epsilon):
 
 def _check_omega(omega):
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise ValueError("omega must be >= 0")
+    if not np.all((omega >= 0) & (omega < math.inf)):
+        raise ValueError("omega must be finite and >= 0")
     return omega
 
 
@@ -330,12 +330,15 @@ def rescale_time(spec, factor):
     factor = (new units per old unit) for time; e.g. seconds to
     picoseconds uses factor 1e12. Frequencies scale by 1/factor and each
     parameter by its time dimension. Raises ValueError unless factor is
-    finite and positive.
+    finite and positive, and BadConfig when a rescaled parameter overflows.
     """
     k = float(factor)
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"time-unit factor must be finite and positive, got {k!r}")
-    return spec.rescaled(k)
+    try:
+        return spec.rescaled(k)
+    except OverflowError as exc:
+        raise BadConfig(f"time-unit factor {k!r} overflows a spectrum parameter") from exc
 
 
 _VARIANTS = {cls.variant: cls for cls in

@@ -75,7 +75,7 @@ def test_criterion_03_passband_mean_two_percent():
     failures = []
     for fam in ("cpmg", "pdd", "udd"):
         for n in (1, 4, 7, 10, 20):
-            dev = passband_stats(_samples(fam, n), n=n).deviation
+            dev = passband_stats(_samples(fam, n)).deviation
             status = "ok" if dev <= 0.02 else "FAIL"
             print(f"criterion 3: {fam}{n} deviation {dev:.4f} {status}")
             if dev > 0.02:

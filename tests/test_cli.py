@@ -199,6 +199,27 @@ def test_bad_spectrum_file(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "BadConfig"
 
 
+@pytest.mark.parametrize("spectrum, extra", [
+    ('{"variant": "ohmic", "amplitude": 1, "omega_d": Infinity}', ()),
+    ('{"variant": "white", "level": Infinity, "omega_hi": 1}', ()),
+    ('{"variant": "supraohmic", "alpha": Infinity, "omega_c": 1}', ()),
+    ('{"variant": "powerlaw", "amplitude": Infinity, "exponent": 0.5, "omega_lo": 0.1,'
+     ' "omega_hi": 1}', ()),
+    ('{"variant": "tabulated", "omegas": [0.1, Infinity], "values": [1, 1]}', ()),
+    ('{"variant": "ohmic", "amplitude": 1, "omega_d": 1}', ("--rescale-time", "1e-320")),
+])
+def test_out_of_domain_spectrum_is_one_line_json_error(tmp_path, capsys, spectrum, extra):
+    """A spectrum with an infinite parameter, read or rescaled, is a BadConfig."""
+    spath, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spath.write_text(spectrum)
+    code, summary, err = run(capsys, "coherence", "--seq", "udd:2", "--spectrum", str(spath),
+                             "--tau", "1", *extra, "--out", str(out))
+    assert code == 1 and summary is None
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "BadConfig"
+    assert not out.exists()
+
+
 def _python_console_script():
     """The `dd` entry point, unless PATH resolves to the coreutils tool."""
     exe = shutil.which("dd")

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ddfilter import (
     InsufficientSpan,
     NoCrossing,
+    NoPeak,
     WindowOutOfRange,
     bandpass_profile,
     filter_metrics,
@@ -17,6 +19,7 @@ from ddfilter import (
     make_canonical,
     make_custom,
     min_gap,
+    modified_filter_value,
     omega_f1,
     passband_stats,
     rolloff,
@@ -100,7 +103,7 @@ def test_passband_stats_reference_deviations():
     """Plateau average vs the 4n+2 asymptote on [100*pi, 200*pi]."""
     cases = [("cpmg", 4, 0.0190), ("pdd", 20, 0.2549), ("udd", 10, 0.0059)]
     for fam, n, want in cases:
-        ps = passband_stats(_samples(fam, n), n=n)
+        ps = passband_stats(_samples(fam, n))
         assert ps.mean > 0
         assert ps.deviation == pytest.approx(want, abs=3e-3)
         assert ps.ripple_db > 0
@@ -151,13 +154,6 @@ def test_passband_mean_folded_matches_node_path(fam, n, width):
     assert folded.mean == pytest.approx(node.mean, rel=1e-12)
 
 
-def test_passband_stats_needs_two_points():
-    s = _samples("udd", 4)
-    with pytest.raises(ValueError):
-        passband_stats(s, points=1)
-    assert passband_stats(s, points=2).mean > 0
-
-
 @pytest.mark.parametrize("tau, grid", [
     (np.nan, np.linspace(0.1, 30.0, 200)), (np.inf, np.linspace(0.1, 30.0, 200)),
     (0.0, np.linspace(0.1, 30.0, 200)), (-1.0, np.linspace(0.1, 30.0, 200)),
@@ -170,7 +166,7 @@ def test_bandpass_profile_rejects_non_finite_input(tau, grid):
 
 def test_passband_insufficient_span():
     with pytest.raises(InsufficientSpan):
-        passband_stats(_samples("cpmg", 4, hi=100.0), n=4)
+        passband_stats(_samples("cpmg", 4, hi=100.0))
 
 
 def test_filter_metrics_bundle():
@@ -245,3 +241,155 @@ def test_filter_ratio_requires_shared_grid_and_variant():
     c = sample_filter(wide, 1e-3, 1e3, 50, variant="finite")
     with pytest.raises(ValueError):
         filter_ratio(a, c)
+
+
+# ------------------------------------------------- loop references
+
+def _bandpass_reference(om, vals):
+    """bandpass_profile's point-by-point walks and scans, kept as the
+    reference for its array version."""
+    j = int(np.argmax(vals))
+    if 0 < j < om.size - 1:
+        flag = "bandpass"
+        l = j
+        while l > 0 and vals[l - 1] < vals[l]:
+            l -= 1
+        rr = j
+        while rr < om.size - 1 and vals[rr + 1] < vals[rr]:
+            rr += 1
+    else:
+        flag = "plateau"
+        j = 0 if vals[0] >= vals[-1] else om.size - 1
+        l = 0
+        rr = j
+        while rr < om.size - 1 and vals[rr + 1] < vals[rr]:
+            rr += 1
+    peak = vals[j]
+    half = peak / 2.0
+    left = om[l]
+    for k in range(j, l, -1):
+        if vals[k - 1] < half <= vals[k]:
+            t = (half - vals[k - 1]) / (vals[k] - vals[k - 1])
+            left = om[k - 1] + t * (om[k] - om[k - 1])
+            break
+    right = om[rr]
+    for k in range(j, rr):
+        if vals[k + 1] < half <= vals[k]:
+            t = (vals[k] - half) / (vals[k] - vals[k + 1])
+            right = om[k] + t * (om[k + 1] - om[k])
+            break
+    outside = np.ones(om.size, dtype=bool)
+    outside[l:rr + 1] = False
+    if flag == "plateau":
+        outside[: rr + 1] = False
+    if outside.any() and np.any(vals[outside] > 0):
+        rejection = float(10.0 * np.log10(peak / vals[outside].max()))
+    else:
+        rejection = float("inf")
+    return metrics.BandpassProfile(float(om[j]), float(right - left), max(rejection, 0.0), flag)
+
+
+def _flags_reference(masked, ratio):
+    """filter_ratio's per-point flags, one branch chain per point."""
+    flags = []
+    for m, r in zip(masked, ratio):
+        if m or not np.isfinite(r):
+            flags.append("masked" if m else "gt1")
+        elif r < 1.0:
+            flags.append("lt1")
+        elif r > 1.0:
+            flags.append("gt1")
+        else:
+            flags.append("eq")
+    return tuple(flags)
+
+
+def _bits(profile):
+    return [float(v).hex() if isinstance(v, float) else v for v in profile.to_dict().values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=st.sampled_from(["fid", "cpmg", "pdd", "udd", "custom"]), n=st.integers(1, 16),
+       tau=st.floats(0.1, 20.0), kind=st.sampled_from(["linear", "log", "random"]),
+       size=st.integers(5, 400), seed=st.integers(0, 2 ** 32 - 1))
+def test_bandpass_profile_matches_the_loop_reference(fam, n, tau, kind, size, seed):
+    """The array lobe and half-max search gives the loops' numbers bit for
+    bit on real profiles: linear, log and random grids."""
+    rng = np.random.default_rng(seed)
+    if fam == "fid":
+        seq = make_canonical("fid")
+    elif fam == "custom":
+        ends = np.cumsum(rng.uniform(0.5, 1.5, n + 1))
+        seq = make_custom(ends[:-1] / ends[-1])
+    else:
+        seq = make_canonical(fam, n)
+    hi = rng.uniform(5.0, 100.0) * (n + 1) / tau
+    if kind == "linear":
+        om = np.linspace(hi / size, hi, size)
+    elif kind == "log":
+        om = np.logspace(np.log10(hi) - 3.0, np.log10(hi), size)
+    else:
+        om = np.sort(rng.uniform(1e-3, hi, size))
+    want = _bandpass_reference(om, modified_filter_value(seq, om, tau))
+    assert _bits(bandpass_profile(seq, tau, om)) == _bits(want)
+
+
+_TIES = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 4.0]), min_size=5, max_size=40)
+_RUNS = st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 8)), min_size=1,
+                 max_size=8).map(lambda runs: np.maximum(np.cumsum(
+                     [step for step, length in runs for _ in range(length)]), 0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.one_of(_TIES, _RUNS), random_grid=st.booleans(), seed=st.integers(0, 99))
+def test_bandpass_profile_matches_the_loop_reference_on_ties(values, random_grid, seed):
+    """Ties, zeros, plateaus and monotone runs, fed in as the modified
+    filter: lobe edges, crossings and rejection match the loops."""
+    vals = np.asarray(values, dtype=float)
+    if vals.size < 5:
+        vals = np.concatenate([vals, np.zeros(5 - vals.size)])
+    om = (np.cumsum(np.random.default_rng(seed).uniform(0.1, 2.0, vals.size))
+          if random_grid else np.arange(1.0, vals.size + 1))
+    with mock.patch.object(metrics, "modified_filter_value", lambda seq, omega, tau: vals):
+        if not np.any(vals > 0):
+            with pytest.raises(NoPeak):
+                bandpass_profile(make_canonical("fid"), 1.0, om)
+            return
+        got = bandpass_profile(make_canonical("fid"), 1.0, om)
+    assert _bits(got) == _bits(_bandpass_reference(om, vals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fa=st.lists(st.sampled_from([0.0, 1e-31, 1e-30, 0.5, 1.0, 2.0, math.inf]),
+                   min_size=1, max_size=30),
+       fb=st.lists(st.sampled_from([0.0, 1e-31, 1e-30, 0.5, 1.0, 2.0, math.inf]),
+                   min_size=1, max_size=30))
+def test_filter_ratio_flags_match_the_loop_reference(fa, fb):
+    """Every branch of the point-by-point flags: masked, zero and infinite
+    denominators, equal values, and ratios either side of 1."""
+    size = min(len(fa), len(fb))
+    u = np.arange(1.0, size + 1)
+    a, b = (types.SimpleNamespace(variant="ideal", u_grid=u, values=np.array(v[:size]))
+            for v in (fa, fb))
+    comp = filter_ratio(a, b)
+    masked = (a.values < metrics.FLOOR) & (b.values < metrics.FLOOR)
+    assert comp.flags == _flags_reference(masked, comp.ratio)
+
+
+@pytest.mark.parametrize("fa, fb", [("udd", "cpmg"), ("pdd", "udd"), ("cpmg", "cpmg")])
+def test_filter_ratio_shares_four_flag_strings(fa, fb):
+    """Real sample pairs match the loop flags, and the tuple holds at most
+    four distinct str objects, whatever its length."""
+    a, b = _samples(fa, 10, ppd=100), _samples(fb, 12, ppd=100)
+    comp = filter_ratio(a, b)
+    masked = (a.values < metrics.FLOOR) & (b.values < metrics.FLOOR)
+    assert comp.flags == _flags_reference(masked, comp.ratio)
+    assert len(comp.flags) == a.u_grid.size
+    assert len({id(f) for f in comp.flags}) <= 4
+
+
+def test_passband_stats_grid_resolves_the_fastest_cosine():
+    """PASSBAND_POINTS on [100 pi, 200 pi] puts 400 steps in each period 2 pi
+    of F's fastest cosine, cos(u (t_j - t_k)) with |t_j - t_k| <= 1."""
+    step = (metrics.PASSBAND_HI - metrics.PASSBAND_LO) / (metrics.PASSBAND_POINTS - 1)
+    assert 2.0 * math.pi / step == pytest.approx(400.0, rel=1e-12)

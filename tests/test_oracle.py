@@ -104,6 +104,12 @@ def test_autocovariance_rejects_unbounded_band():
         autocovariance(WhiteBand(level=0.1, omega_hi=np.inf), np.array([0.1]))
 
 
+@pytest.mark.parametrize("lags", [[0.0, np.nan], [0.0, np.inf], np.nan, -np.inf], ids=repr)
+def test_autocovariance_rejects_non_finite_lags(lags):
+    with pytest.raises(ValueError, match="lags must be finite"):
+        autocovariance(OHMIC, lags)
+
+
 def test_sampling_vector_invariants():
     sv = sampling_vector(make_canonical("udd", 6), TAU, 4096)
     assert sv.values.min() >= -1.0 and sv.values.max() <= 1.0

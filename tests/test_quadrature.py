@@ -66,6 +66,24 @@ def test_config_validation():
             QuadratureConfig(max_subdivisions=bad)
 
 
+@pytest.mark.parametrize("a, b, max_panel, name", [
+    (0.0, np.inf, 1.0, "finite a < b"), (np.nan, 1.0, None, "finite a < b"),
+    (0.0, np.nan, None, "finite a < b"), (-np.inf, 0.0, None, "finite a < b"),
+    (0.0, 1.0, 0.0, "max_panel"), (0.0, 1.0, -1.0, "max_panel"),
+    (0.0, 1.0, np.inf, "max_panel"), (0.0, 1.0, np.nan, "max_panel")])
+def test_build_edges_rejects_non_finite_bounds_and_widths(a, b, max_panel, name):
+    with pytest.raises(ValueError, match=name):
+        build_edges(a, b, max_panel=max_panel)
+
+
+@pytest.mark.parametrize("edges", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0, 1.0]])
+def test_integrate_rejects_non_finite_edges(edges):
+    with pytest.raises(ValueError, match="edges must be finite"):
+        integrate(lambda x: x, edges)
+    with pytest.raises(ValueError, match="edges must be finite"):
+        integrate_batch(lambda x, owner: x, [[0.0, 1.0], edges])
+
+
 def test_build_edges_validation():
     with pytest.raises(ValueError):
         build_edges(1.0, 1.0)

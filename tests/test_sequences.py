@@ -52,6 +52,16 @@ def test_make_canonical_rejects_bad_input():
         make_canonical("udd", 0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, -3, 0, None, "4"], ids=repr)
+def test_pulse_counts_must_be_integers(n):
+    """n = 2.5 built udd2, True udd1, and -3 an empty placement."""
+    with pytest.raises(ValueError, match="pulse count n"):
+        make_canonical("udd", n)
+    with pytest.raises(ValueError, match="pulse count n"):
+        canonical_deltas("udd", n)
+    assert make_canonical("cpmg", np.int64(3)) == make_canonical("cpmg", 3)
+
+
 def test_validation_errors():
     with pytest.raises(NonMonotonic):
         make_custom([0.5, 0.4])

@@ -236,3 +236,41 @@ NAN = math.nan
 def test_constructors_reject_nan(build, args):
     with pytest.raises(DDError):
         build(*args)
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("build, args", [
+    (OhmicSharpCutoff, (1.0, INF)),
+    (OhmicSharpCutoff, (INF, 1.0)),
+    (WhiteBand, (INF, 1.0)),
+    (SupraOhmicExp, (INF, 1.0)),
+    (SupraOhmicExp, (1.0, INF)),
+    (PowerLaw, (INF, 0.5, 0.1, 1.0)),
+    (PowerLaw, (INF, -2.0, 0.1, INF)),
+    (Tabulated, ((0.1, INF), (1.0, 1.0))),
+    (Tabulated, ((0.1, 1.0), (1.0, INF))),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_constructors_reject_infinite_parameters(build, args):
+    """Only omega_hi of WhiteBand and PowerLaw may be infinite."""
+    with pytest.raises(BadConfig):
+        build(*args)
+
+
+def test_rescale_time_rejects_an_overflowing_spectrum():
+    """omega_d / 1e-320 overflows to inf: the rescaled spectrum is refused."""
+    with pytest.raises(BadConfig):
+        rescale_time(OhmicSharpCutoff(1.0, 1.0), 1e-320)
+    with pytest.raises(BadConfig):
+        rescale_time(PowerLaw(1.0, -0.5, 0.0, 1.0), 1e-300)     # 1e-300 ** -1.5 overflows
+    with pytest.raises(BadConfig):
+        rescale_time(SupraOhmicExp(1.0, 1.0), 1e300)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -1.0, [0.0, math.nan], [1.0, math.inf]],
+                         ids=repr)
+@pytest.mark.parametrize("spec", ALL_VARIANTS, ids=lambda s: s.variant)
+def test_evaluate_rejects_omega_outside_zero_to_inf(spec, omega):
+    with pytest.raises(ValueError, match="omega"):
+        eval_spectrum(spec, omega)
