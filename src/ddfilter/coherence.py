@@ -83,9 +83,13 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
     "crossover_u". Raises ToleranceNotMet with the best chi and its
     achieved error attached when quadrature refinement runs out.
     """
+    return _chi(seq, spec, _check_tau(tau), cfg or QuadratureConfig(), full_output)
+
+
+def _check_tau(tau):
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
-    return _chi(seq, spec, tau, cfg or QuadratureConfig(), full_output)
+    return tau
 
 
 def _chi(seq, spec, tau, cfg, full_output=False):
@@ -244,7 +248,9 @@ def coherence_w(seq, spec, tau, cfg=None):
 
 def white_fid_chi(level, tau):
     """Analytic anchor: FID under band-limited white noise, wide-band limit."""
-    return 0.5 * level * tau
+    if not 0 <= level < math.inf:      # WhiteBand's rule
+        raise ValueError(f"level must be finite and >= 0, got {float(level)!r}")
+    return 0.5 * level * _check_tau(tau)
 
 
 @dataclass(frozen=True, slots=True)

@@ -133,7 +133,7 @@ class _PairPlan:
         and so does a (rows, n) array of positions per row, taken
         taus_per_sum rows at a time; otherwise they are floats."""
         deltas = np.asarray(deltas, dtype=float)
-        if deltas.ndim == 2:
+        if deltas.ndim == 2 and len(deltas) > self.taus_per_sum:
             step = self.taus_per_sum
             parts = [self._sums(deltas[i:i + step], kernel) for i in range(0, len(deltas), step)]
             return tuple(np.concatenate(s) for s in zip(*parts))

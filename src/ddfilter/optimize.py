@@ -8,11 +8,11 @@ All three share one engine: positions are parameterized by n+1 positive
 gaps summing to 1 via an additive log-ratio transform (x in R^n maps
 bijectively onto the open simplex interior), which removes the ordering
 constraint; Nelder-Mead runs in x-space from canonical-family starts
-plus seeded jitter, all starts in lockstep (minimize): one objective call
-per simplex step takes every running start's point. A minimum-gap
-constraint g_i >= gmin becomes an affine squeeze of the simplex, and
-infeasible starting gaps are first projected (Euclidean) onto the
-constrained set.
+plus seeded jitter, all starts in lockstep (minimize): each objective call
+of a simplex step takes the points of every running start that needs one.
+A minimum-gap constraint g_i >= gmin becomes an affine squeeze of the
+simplex, and infeasible starting gaps are first projected (Euclidean)
+onto the constrained set.
 
 The objectives map a (rows, n) position array straight to one value per
 row, with no PulseSequence per evaluation: rows that make_custom would
@@ -97,10 +97,12 @@ def alr_to_gaps(x):
     """R^n -> interior of the (n+1)-gap simplex, shift-invariant softmax
     (row by row on an array of points)."""
     x = np.asarray(x, dtype=float)
-    z = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-    z = z - z.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
+    z = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    z[..., :-1] = x
+    z -= z.max(-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(-1, keepdims=True)
+    return z
 
 
 def gaps_to_alr(gaps):
@@ -126,11 +128,19 @@ def project_gaps(gaps, gmin):
     return gmin + np.maximum(v - theta, 0.0)
 
 
-def _squeeze(raw_gaps, gmin):
-    """Map the free simplex onto {g >= gmin, sum = 1} (smooth, bijective),
-    row by row."""
-    m = raw_gaps.shape[-1]
-    return gmin + (1.0 - m * gmin) * raw_gaps
+def _to_deltas(x, gmin):
+    """Pulse positions of the log-ratio points x (rows of x, or one point):
+    the gaps alr_to_gaps(x), each raised to at least 1e-15 and renormalised,
+    then, for gmin > 0, the free simplex mapped onto {g >= gmin, sum = 1} by
+    the affine squeeze g -> gmin + (1 - (n+1) gmin) g (smooth, bijective),
+    summed. Every step works in place on alr_to_gaps' buffer."""
+    g = alr_to_gaps(x)
+    np.maximum(g, 1e-15, out=g)
+    g /= g.sum(-1, keepdims=True)
+    if gmin > 0:
+        g *= 1.0 - g.shape[-1] * gmin
+        g += gmin
+    return np.cumsum(g, axis=-1, out=g)[..., :-1]
 
 
 def _unsqueeze(gaps, gmin):
@@ -157,6 +167,8 @@ def _rows(score):
         ends = np.zeros((len(d), 1))
         p = np.concatenate([ends, d, ends + 1.0], axis=1)
         valid = (p[:, 1:] > p[:, :-1]).all(1)
+        if valid.all():
+            return score(d, raise_on_fail)
         out = np.full(len(d), np.inf)
         if valid.any():
             out[valid] = score(d[valid], raise_on_fail)
@@ -169,17 +181,19 @@ def _chi_objective(spec, tau):
     route takes every row in one sum, and the rows it leaves go to
     quadrature together, one sequence per row."""
     def score(d, raise_on_fail):
-        value = np.empty(len(d))
-        done = series = np.zeros(len(d), dtype=bool)
-        if spec.structure_function is not None:
+        if spec.structure_function is None:
+            value, rows, series = np.empty(len(d)), range(len(d)), [False] * len(d)
+        else:
             value, _bound, done, series = _pairwise(pair_plan(d.shape[1], 0.0), d, spec, tau,
                                                     _OBJ_QUAD)
-        rows = np.flatnonzero(~done)
+            if done.all():
+                return value
+            rows = np.flatnonzero(~done)
         try:
             outs = _quadrature([(make_custom(d[i]), tau, bool(series[i])) for i in rows],
                                spec, _OBJ_QUAD)
         except DDError as exc:      # the batch raised: every row fails with it
-            outs = [exc] * rows.size
+            outs = [exc] * len(rows)
         for i, out in zip(rows, outs):
             if isinstance(out, DDError) and raise_on_fail:
                 raise out
@@ -292,16 +306,17 @@ def minimize(objective, starts, cfg):
     for _ in range(2):          # SciPy sorts the first simplex twice
         sim, fsim = _sort(sim, fsim)
     nit, nfev = np.ones(count, dtype=int), np.full(count, n + 1)
-    running = nit < maxiter
-    while running.any():
-        idx = np.flatnonzero(running)
-        s, f = sim[idx], fsim[idx]
+    # s, f: the simplices of the running starts idx, which all share one
+    # iteration count; a start that stops leaves them for sim and fsim
+    idx, s, f, it = np.arange(count), sim, fsim, 1
+    while it < maxiter:
         small = ((np.abs(s[:, 1:] - s[:, :1]).max((1, 2)) <= _XATOL)
                  & (np.abs(f[:, :1] - f[:, 1:]).max(1) <= cfg.tol))
-        running[idx[small]] = False
-        idx, s, f = idx[~small], s[~small], f[~small]
-        if not idx.size:
-            break
+        if small.any():
+            sim[idx[small]], fsim[idx[small]], nit[idx[small]] = s[small], f[small], it
+            idx, s, f = idx[~small], s[~small], f[~small]
+            if not idx.size:
+                break
         xbar = np.add.reduce(s[:, :-1], 1) / n
         worst = s[:, -1]
         xr = (1 + _RHO) * xbar - _RHO * worst
@@ -320,18 +335,20 @@ def minimize(objective, starts, cfg):
             f2[second] = objective(x2[second])
         take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
         shrink = (outside | inside) & ~take2
-        keep = ~shrink
-        s[keep, -1] = np.where(take2[:, None], x2, xr)[keep]
-        f[keep, -1] = np.where(take2, f2, fxr)[keep]
+        last, flast = np.where(take2[:, None], x2, xr), np.where(take2, f2, fxr)
         if shrink.any():
+            keep = ~shrink
+            s[keep, -1], f[keep, -1] = last[keep], flast[keep]
             v, fv = s[shrink], f[shrink]
             v[:, 1:] = v[:, :1] + _SIGMA * (v[:, 1:] - v[:, :1])
             fv[:, 1:] = objective(v[:, 1:].reshape(-1, n)).reshape(-1, n)
             s[shrink], f[shrink] = v, fv
+        else:
+            s[:, -1], f[:, -1] = last, flast
         nfev[idx] += 1 + second + n * shrink
-        nit[idx] += 1
-        sim[idx], fsim[idx] = _sort(s, f)
-        running[idx] = nit[idx] < maxiter
+        it += 1
+        s, f = _sort(s, f)
+    sim[idx], fsim[idx], nit[idx] = s, f, it
     fun = fsim.min(1)
     return [{"x": sim[i, 0], "fun": float(fun[i]), "nit": int(nit[i]), "nfev": int(nfev[i]),
              "success": bool(nit[i] < maxiter)} for i in range(count)]
@@ -359,11 +376,6 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
                 "function_evals": 1, "converged": True}
         return best, deltas, {"udd": val, "cpmg": val, "pdd": val}
 
-    def to_deltas(x):
-        raw = np.maximum(alr_to_gaps(x), 1e-15)
-        raw = raw / raw.sum(-1, keepdims=True)
-        return gaps_to_deltas(_squeeze(raw, gmin) if gmin > 0 else raw)
-
     labels = ["udd", "cpmg", "pdd"]
     starts = []
     for fam in labels:
@@ -375,7 +387,7 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
         else:
             raw = gaps
         starts.append(gaps_to_alr(raw))
-    baselines = dict(zip(labels, objective(to_deltas(np.array(starts))).tolist()))
+    baselines = dict(zip(labels, objective(_to_deltas(np.array(starts), gmin)).tolist()))
 
     rng = np.random.default_rng(cfg.seed)
     for k in range(cfg.restarts):
@@ -386,9 +398,9 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
         # degenerate objective (zero spectrum): retain the (projected) UDD baseline
         best = {"objective": 0.0, "label": "udd", "iterations": 0, "function_evals": 0,
                 "converged": True, "degenerate": True}
-        return best, to_deltas(starts[0]), baselines
+        return best, _to_deltas(starts[0], gmin), baselines
 
-    runs = minimize(lambda x: objective(to_deltas(x), raise_on_fail=False), starts, cfg)
+    runs = minimize(lambda x: objective(_to_deltas(x, gmin), raise_on_fail=False), starts, cfg)
     best = None
     for lbl, res in zip(labels, runs):
         if best is None or res["fun"] < best["objective"]:
@@ -397,7 +409,7 @@ def _optimize_core(objective, n, cfg, gmin=0.0):
                     "converged": res["success"]}
     if not np.isfinite(best["objective"]):
         raise NotConverged("no optimization start produced a finite objective")
-    return best, to_deltas(best["x"]), baselines
+    return best, _to_deltas(best["x"], gmin), baselines
 
 
 def _result(best, deltas, baselines, cfg, label, gmin=0.0, **extra):
@@ -443,9 +455,9 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     constrained position optimization and returns the overall best. The
     inner objective is chi itself (pairwise wherever the spectrum has a
     structure function), except for spectra without a closed-form D: there
-    a tabulated pairwise kernel is the fast surrogate. Every per-n winner
-    is scored with chi. Baselines are the projected (feasible) canonical
-    sequences at the winning n.
+    a tabulated pairwise kernel is the fast surrogate, and each per-n
+    winner is scored with chi. Baselines are the projected (feasible)
+    canonical sequences at the winning n.
     """
     cfg = cfg or OptimizationConfig()
     tau, tau_switch = _positive(tau, "tau"), _positive(tau_switch, "tau_switch")
@@ -466,7 +478,8 @@ def optimize_badd(spec, tau, tau_switch, n_max, cfg=None):
     entries = []
     for n in range(1, n_hi + 1):
         best, deltas, _ = _optimize_core(inner, n, cfg, gmin=gmin)
-        value = float(true_chi([deltas])[0])
+        # the search's best value is chi's own (rows score independently)
+        value = best["objective"] if inner is true_chi else float(true_chi([deltas])[0])
         # the result is the best over n, labelled BADD even on a zero spectrum
         entries.append((value, n, dict(best, objective=value, degenerate=False), deltas))
         per_n.append({"n": n, "objective": value, "converged": best["converged"]})

@@ -39,7 +39,6 @@ nearest-cell flips, which otherwise dominates the comparison for
 strongly clustered sequences.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -250,16 +249,21 @@ def grammian_chi(seq, spec, tau, n_steps, cfg=None):
 _PCG64_JUMP = 210306068529402873165736369884012333109
 
 
-def _substream_phases(seed, count, size):
+def _substream_phases(seed, count, size, rows):
     """uniform(0, 2 pi, size) from Generator(PCG64(seed).jumped(i)) for
-    i < count, drawn by one generator whose state is reset and advanced
-    i jumps each time instead of a new generator per i."""
+    i < count, in blocks of at most `rows` rows. One generator draws them
+    all: after row i's `size` doubles it advances the rest of a jump, to
+    where jumped(i + 1) starts; 2 pi times a block of random() is what
+    uniform(0, 2 pi) draws."""
     bits = np.random.PCG64(seed)
-    rng, start = np.random.Generator(bits), bits.state
-    for i in range(count):
-        bits.state = start
-        bits.advance(i * _PCG64_JUMP)
-        yield rng.uniform(0.0, 2.0 * np.pi, size)
+    rng = np.random.Generator(bits)
+    for i in range(0, count, rows):
+        block = np.empty((min(rows, count - i), size))
+        for row in block:
+            rng.random(out=row)
+            bits.advance(_PCG64_JUMP - size)
+        block *= 2.0 * np.pi
+        yield block
 
 
 def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
@@ -295,14 +299,11 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
     a, psi = amps * np.abs(y_hat), np.angle(y_hat)
 
     rows = max(1, _PHASOR_BLOCK // n_modes)
-    row = np.dtype((float, n_modes))
-    phases = _substream_phases(seed, n_realizations, n_modes)
     phi = np.empty(n_realizations)
-    for i in range(0, n_realizations, rows):
-        count = min(rows, n_realizations - i)
-        theta = np.fromiter(itertools.islice(phases, count), row, count)
+    for i, theta in zip(range(0, n_realizations, rows),
+                        _substream_phases(seed, n_realizations, n_modes, rows)):
         theta += psi
-        phi[i:i + count] = _real_product(np.cos(theta, out=theta), a)
+        phi[i:i + len(theta)] = _real_product(np.cos(theta, out=theta), a)
     cos_vals = np.cos(MC_PHASE * phi)
     w = float(cos_vals.mean())
     stderr = float(cos_vals.std(ddof=1) / np.sqrt(cos_vals.size))

@@ -38,7 +38,12 @@ def _series_or(x, coeffs, closed_form):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < _SERIES_MAX_X
-    out[small] = np.polynomial.polynomial.polyval(x[small] ** 2, coeffs)
+    x2 = x[small] ** 2
+    p = coeffs[-1] + x2 * 0     # polyval's operations in its order, in place
+    for c in coeffs[-2::-1]:
+        p *= x2
+        p += c
+    out[small] = p
     if not small.all():
         out[~small] = closed_form(x[~small])
     return out

@@ -71,6 +71,16 @@ def test_white_fid_analytic_anchor():
     assert white_fid_chi(0.3, 2.0) == 0.3
 
 
+@pytest.mark.parametrize("level, tau, name", [
+    (math.nan, 1.0, "level"), (1.0, math.inf, "tau"), (-1.0, 1.0, "level"),
+])
+def test_white_fid_chi_rejects_bad_arguments(level, tau, name):
+    """A level must be finite and >= 0 (WhiteBand's rule), tau finite and
+    positive (chi's)."""
+    with pytest.raises(ValueError, match=name):
+        white_fid_chi(level, tau)
+
+
 def test_chi_linear_in_amplitude():
     seq = make_canonical("cpmg", 2)
     a = chi(seq, OhmicSharpCutoff(amplitude=1.0, omega_d=5.0), 1.0)

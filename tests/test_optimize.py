@@ -37,6 +37,7 @@ from ddfilter.optimize import (
     _AREA_QUAD,
     _OBJ_QUAD,
     _STEP_SCALE,
+    _to_deltas,
     minimize,
     alr_to_gaps,
     deltas_to_gaps,
@@ -48,6 +49,7 @@ from ddfilter.optimize import (
     _kernel_chi_objective,
 )
 from ddfilter import filters
+from ddfilter.coherence import _quadrature
 from ddfilter.filters import _PAIR_BLOCK, PAIR_ROUNDING, _switching_times, pair_plan
 from ddfilter.quadrature import _CALL_NODES, NODES, integrate_batch
 from ddfilter.sequences import PulseSequence
@@ -84,6 +86,47 @@ def test_projection_feasible_and_idempotent(raw, gmin):
     # projection of an already-feasible point is identity
     if g.min() >= gmin:
         assert np.allclose(p, g, atol=1e-9)
+
+
+def _chain_to_deltas(x, gmin):
+    """The position map as a chain of fresh arrays: softmax gaps (an appended
+    zero), each at least 1e-15, renormalised, squeezed onto {g >= gmin},
+    summed."""
+    x = np.asarray(x, dtype=float)
+    z = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    z = z - z.max(-1, keepdims=True)
+    e = np.exp(z)
+    raw = np.maximum(e / e.sum(-1, keepdims=True), 1e-15)
+    raw = raw / raw.sum(-1, keepdims=True)
+    if gmin > 0:
+        raw = gmin + (1.0 - raw.shape[-1] * gmin) * raw
+    return gaps_to_deltas(raw)
+
+
+@st.composite
+def _log_ratio_points(draw):
+    """One point or 1-6 rows of points in n = 1..8 log-ratio coordinates
+    (wide enough that gaps hit the 1e-15 floor), and a minimum gap of 0 or
+    one that leaves room."""
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from([(), (1,), (3,), (6,)])) + (n,)
+    x = np.array(draw(st.lists(st.floats(-40.0, 40.0), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))).reshape(shape)
+    gmin = draw(st.sampled_from([0.0, None]))
+    return x, draw(st.floats(1e-6, 0.99 / (n + 1))) if gmin is None else gmin
+
+
+@given(_log_ratio_points())
+@example((np.array([[0.3, -0.2], [40.0, -40.0]]), 0.0))
+@example((np.array([-40.0, 40.0, 0.0]), 0.2))
+@settings(max_examples=150, deadline=None)
+def test_position_map_is_the_gap_chain(case):
+    """The optimizers' position map, in place on one buffer, gives the
+    chain's positions bit for bit, row by row and for one point."""
+    x, gmin = case
+    got, want = _to_deltas(x, gmin), _chain_to_deltas(x, gmin)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_projection_infeasible():
@@ -306,6 +349,19 @@ def test_badd_searches_the_kernel_table_and_scores_chi(spec):
     assert res.diagnostics["kernel_objective"] is True
     assert res.objective_value == chi(res.sequence, spec, 5.0, _OBJ_QUAD)
     assert res.objective_value <= min(res.baseline_values.values()) * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("spec, tau, tau_switch", [
+    (SUPRA, 5.0, 0.8), (OHMIC, 0.5, 0.1), (WhiteBand(0.3, 4.0), 0.3, 0.05),
+], ids=["supraohmic", "ohmic-quadrature", "white"])
+def test_badd_with_a_structure_function_reports_the_search_chi(spec, tau, tau_switch):
+    """Spectra with a structure function search on chi itself, so each n's
+    best search value is its chi: the result is chi of the returned
+    sequence, bit for bit (the ohmic winner takes the quadrature route)."""
+    res = optimize_badd(spec, tau, tau_switch, 3, FAST)
+    assert res.diagnostics["kernel_objective"] is False
+    assert res.objective_value == chi(res.sequence, spec, tau, _OBJ_QUAD)
+    assert res.objective_value == min(e["objective"] for e in res.diagnostics["per_n"])
 
 
 def test_badd_boundary_single_feasible_point():
@@ -548,6 +604,21 @@ def test_objective_fallback_rows_take_one_quadrature_batch(monkeypatch):
         values = _chi_objective(TAB5, 2.0)(rows)     # no structure function: every row
     assert batch.call_count == 1 and len(batch.call_args.args[1]) == len(rows)
     assert values.tolist() == [chi(make_custom(d), TAB5, 2.0, _OBJ_QUAD) for d in rows]
+
+
+def test_objective_rows_the_pair_sum_keeps_skip_quadrature():
+    """When the pairwise route meets the tolerance on every row, the chi
+    objective returns its values and makes no quadrature call; otherwise
+    one call takes the rows it leaves (at tau 0.5, udd4 and cpmg4)."""
+    rows = np.array([canonical_deltas(family, 4) for family in ("udd", "cpmg", "pdd")])
+    with mock.patch("ddfilter.optimize._quadrature", wraps=_quadrature) as quad:
+        values = _chi_objective(OHMIC, 4.0)(rows)
+    assert quad.call_count == 0
+    assert values.tolist() == [chi(make_custom(d), OHMIC, 4.0, _OBJ_QUAD) for d in rows]
+    with mock.patch("ddfilter.optimize._quadrature", wraps=_quadrature) as quad:
+        _chi_objective(OHMIC, 0.5)(rows)
+    assert quad.call_count == 1
+    assert [job[0].deltas for job in quad.call_args.args[0]] == [tuple(d) for d in rows[:2]]
 
 
 def test_chi_batch_past_one_integrand_call_is_chi_row_by_row():

@@ -274,11 +274,13 @@ def test_monte_carlo_deterministic_and_stderr_scaling():
     assert big.stderr < 0.65 * a.stderr  # ~1/2 expected for 4x the sample
 
 
-def _jumped_phases(seed, count, size):
-    """The reference substreams: a new Generator(PCG64(seed).jumped(i)) per i."""
+def _jumped_phases(seed, count, size, rows):
+    """The reference substreams: a new Generator(PCG64(seed).jumped(i)) per
+    i, in blocks of at most `rows` rows."""
     root = np.random.PCG64(int(seed))
-    for i in range(count):
-        yield np.random.Generator(root.jumped(i)).uniform(0.0, 2.0 * np.pi, size)
+    for i0 in range(0, count, rows):
+        yield np.array([np.random.Generator(root.jumped(i)).uniform(0.0, 2.0 * np.pi, size)
+                        for i in range(i0, min(i0 + rows, count))])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7, 12345])
@@ -286,7 +288,8 @@ def test_monte_carlo_phases_are_the_jumped_substreams(seed):
     """One generator advanced i jumps draws what PCG64(seed).jumped(i) does."""
     root = np.random.PCG64(seed)
     pick = {0, 1, 2, 17, 500, 4096, 9999}
-    for i, theta in enumerate(oracle._substream_phases(seed, 10000, 8)):
+    rows = (theta for block in oracle._substream_phases(seed, 10000, 8, 300) for theta in block)
+    for i, theta in enumerate(rows):
         if i in pick:
             want = np.random.Generator(root.jumped(i)).uniform(0.0, 2.0 * np.pi, 8)
             assert np.array_equal(theta, want)
@@ -309,7 +312,7 @@ def _loop_monte_carlo(seq, spec, tau, m, n_steps, seed):
     y_hat = sv.amplitude * sv.dt * (np.exp(1j * np.outer(om, mids)) @ sv.values)
     re, im = amps * y_hat.real, amps * y_hat.imag
     vals = []
-    for theta in oracle._substream_phases(seed, m, n_modes):
+    for theta in next(oracle._substream_phases(seed, m, n_modes, m)):
         vals.append(np.cos(oracle.MC_PHASE * (np.cos(theta) @ re - np.sin(theta) @ im)))
     vals = np.array(vals)
     return vals.mean(), vals.std(ddof=1) / np.sqrt(m)

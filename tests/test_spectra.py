@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainccinv
 
 from ddfilter import (
@@ -22,6 +24,23 @@ from ddfilter import (
     make_custom,
     rescale_time,
 )
+from ddfilter.spectra import _CIN_SERIES, _WHITE_SERIES, _cin, _white_core
+
+
+@given(st.lists(st.floats(0.0, 2.0, exclude_max=True), max_size=300))
+@example([])
+@example([0.0])
+@example([1.5])
+@example(np.linspace(0.0, 2.0, 5000, endpoint=False).tolist())
+@settings(max_examples=80, deadline=None)
+def test_series_cores_are_polyval(x):
+    """Below x = 2 the Cin and white cores are their Maclaurin series in
+    x^2 by Horner's rule, bit for bit what NumPy's polyval returns."""
+    x = np.array(x, dtype=float)
+    for core, coeffs in ((_cin, _CIN_SERIES), (_white_core, _WHITE_SERIES)):
+        want = np.polynomial.polynomial.polyval(x ** 2, coeffs)
+        got = core(x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
 
 
 def test_ohmic_form():
