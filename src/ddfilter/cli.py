@@ -3,8 +3,8 @@
 Subcommands: filter, coherence, metrics, compare, optimize (lodd, ofdd,
 badd), oracle, figures. Every run ends with a one-line JSON summary on
 stdout; file outputs are written atomically. Exit codes: 0 success, 1
-domain/numeric failure, bad input value or unreadable file (reported as
-one-line JSON on stderr), 2 usage.
+domain/numeric failure, bad input value, unreadable file or failed
+allocation (reported as one-line JSON on stderr), 2 usage.
 """
 
 import argparse
@@ -338,7 +338,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DDError, ValueError, OSError) as exc:
+    except (DDError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(io.dumps_json(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

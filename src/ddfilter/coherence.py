@@ -100,7 +100,7 @@ def _chi(seq, spec, tau, cfg, full_output=False):
                                                spec, tau, cfg)
         if done:
             if full_output:
-                return value, {"path": "pairwise", "error_estimate": bound}
+                return value, {"path": "pairwise", "error_estimate": float(bound)}
             return value
     (out,) = _quadrature([(seq, tau, series)], spec, cfg)
     if isinstance(out, ToleranceNotMet):
@@ -142,7 +142,7 @@ def _quadrature(jobs, spec, cfg):
         runs = _integrate_chi([jobs[i] for i in todo], [epsilon[i] for i in todo], spec, cfg)
         again = []
         for i, (result, err, failed, info) in zip(todo, runs):
-            dropped = spec.tail_weight(epsilon[i])
+            dropped = float(spec.tail_weight(epsilon[i]))
             if dropped:
                 dropped *= float(np.abs(_switching_times(jobs[i][0])[2]).sum()) ** 2   # max F
             if not (dropped == 0.0 or dropped <= 0.1 * cfg.rel_tol * result
@@ -231,7 +231,7 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
     for value, err, n_panels, info in zip(values, errors, panels, infos):
         info["panels"] = n_panels
         out.append(((2.0 / np.pi) * value, (2.0 / np.pi) * err,
-                    bool(err > max(cfg.rel_tol * abs(value), ABS_TOL)), info))
+                    not err <= max(cfg.rel_tol * abs(value), ABS_TOL), info))   # NaN fails
     return out
 
 

@@ -36,9 +36,13 @@ once per (n, width) and each sum only gathers the positions.
 The segment sum still has an absolute rounding floor of about
 eps * min(n + 1, u/2), far above F deep in the stop band, where F falls
 as u^(2(n+1)). There StopBandFilter sums the moment series
-z(u) = sum_m (iu/2)^m nu_m / m!, nu_m = sum_k c_k (2 t_k - 1)^m, whose
-moments are formed in double-double arithmetic, so F = |z|^2 keeps its
-relative precision however small it is.
+z(u) = sum_m (iu/2)^m nu_m / m!, nu_m = sum_k c_k (2 t_k - 1)^m, so
+F = |z|^2 keeps its relative precision however small it is. The powers
+are double-double and each moment is formed once, in doubling blocks
+(_moment_blocks) that the crossover search draws as its degree grows;
+each is a compensated pairwise sum (Ogita, Rump and Oishi, SIAM J. Sci.
+Comput. 26, 1955 (2005)), within eps/2 |nu_m| + eps^2 log2(2n + 4)
+sum_k |c_k x_k^m|.
 """
 
 import functools
@@ -360,35 +364,36 @@ def _dd_mul(xh, xl, yh, yl):
     return _two_sum(p, e + (xh * yl + xl * yh))
 
 
-def _moments(seq, degree):
-    """nu_m = sum_k c_k x_k^m, x_k = 2 t_k - 1 in [-1, 1], for m = 0..degree.
+def _moment_blocks(seq):
+    """nu_m = sum_k c_k x_k^m, x_k = 2 t_k - 1 in [-1, 1], in doubling
+    blocks: m < 1, then [1, 2), [2, 4), ...
 
-    x_k and its powers are double-double, the powers built by doubling
-    (the block m < 2^j times x^(2^j) gives the block m < 2^(j+1)), and
-    each nu_m is the correctly rounded sum (math.fsum) of the weighted
-    high parts and the sum of the low parts (every c_k is a signed power
-    of two, so c_k x is exact).
+    x_k and its powers are double-double; each block is the table of all
+    lower powers times x^have, so every power is formed once. Every c_k
+    is a signed power of two, so c_k times a high part is exact. Each
+    nu_m sums those terms by a pairwise tree of _two_sum over contiguous
+    halves (an odd width carries its middle column), with the error
+    terms of every level and the low parts' sum added in double: within
+    eps/2 |nu_m| + eps^2 log2(2n + 4) sum_k |c_k x_k^m|.
     """
     a, o, c = _switching_times(seq)
     xh, xl = _two_sum(2.0 * a, -1.0)
     xh, e = _two_sum(xh, 2.0 * o)
     xh, xl = _two_sum(xh, xl + e)
-    ph = np.ones((degree + 1, c.size))
-    pl = np.zeros((degree + 1, c.size))
-    sh, sl = xh, xl                         # x^have
-    have = 1
-    while have <= degree:
-        # rows m < take and x^have itself, times x^have: the next block
-        # and the next multiplier x^(2 have) in one product
-        take = min(have, degree + 1 - have)
-        bh, bl = _dd_mul(np.vstack([ph[:take], sh]), np.vstack([pl[:take], sl]), sh, sl)
-        ph[have:have + take], pl[have:have + take] = bh[:take], bl[:take]
-        sh, sl = bh[take], bl[take]
-        have += take
-    # the low parts are summed in double: that rounding, like the powers',
-    # is eps^2 relative to sum_k |c_k x_k^m|
-    rows = np.concatenate([c * ph, (pl @ c)[:, None]], axis=1).tolist()
-    return np.array([math.fsum(row) for row in rows])
+    # the table: x^m for m < have, then x^have itself as its last row
+    th, tl = np.vstack([np.ones_like(xh), xh]), np.vstack([np.zeros_like(xl), xl])
+    while True:
+        block = slice((len(th) - 1) // 2, -1)         # m in [have/2, have), or m < 1
+        t, err = c * th[block], tl[block] @ c
+        while t.shape[1] > 1:
+            h = t.shape[1] // 2
+            s, e = _two_sum(t[:, :h], t[:, -h:])
+            t = np.concatenate([s, t[:, h:-h]], axis=1)
+            err = err + np.add.reduce(e, 1)
+        yield t[:, 0] + err
+        # the table times x^have: the next block and x^(2 have) in one product
+        bh, bl = _dd_mul(th, tl, th[-1], tl[-1])
+        th, tl = np.concatenate([th[:-1], bh]), np.concatenate([tl[:-1], bl])
 
 
 def _factorial_series(nu, h):
@@ -434,13 +439,16 @@ class StopBandFilter:
         # widen the search from u = 8 by doubling: the degree, and so the
         # cost of the moments, grows with the range searched. The first
         # degree suits a series bound down to eps times the segment sum's.
+        # Moments come in doubling blocks, drawn as the degree needs them.
         u_try, degree = min(u_top, 8.0), 0
+        blocks, nu = _moment_blocks(seq), np.zeros(0)
         while True:
             degree = max(degree, _series_degree(u_try / 2.0,
                                                 _TAIL_SHARE * _EPS ** 2 * u_try / total))
-            nu = _moments(seq, degree)
+            while nu.size <= degree:
+                nu = np.concatenate([nu, next(blocks)])
             grid = u_try * np.exp2(np.arange(-240, 1) / 8.0)
-            size = _factorial_series(np.abs(nu), grid / 2.0)
+            size = _factorial_series(np.abs(nu[:degree + 1]), grid / 2.0)
             better = size < np.minimum(floor, grid)
             if better.all() and u_try < u_top:
                 u_try = min(2.0 * u_try, u_top)
@@ -452,9 +460,7 @@ class StopBandFilter:
             if need <= degree:
                 break
             degree = need + 8
-        self.crossover = float(grid[i])
-        self.degree = need
-        self._nu = nu[:need + 1]
+        self.degree, self.crossover, self._nu = need, float(grid[i]), nu[:need + 1]
 
     def __call__(self, u, nodes=None):
         u = np.asarray(u, dtype=float)

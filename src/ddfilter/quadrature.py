@@ -185,7 +185,7 @@ def integrate(f, edges, cfg=None):
     cfg = cfg or QuadratureConfig()
     values, errors, panels = integrate_batch(lambda x, _owner: f(x), [edges], cfg)
     value, achieved = float(values[0]), float(errors[0])
-    if achieved > max(cfg.rel_tol * abs(value), ABS_TOL):
+    if not achieved <= max(cfg.rel_tol * abs(value), ABS_TOL):     # NaN fails too
         raise ToleranceNotMet(
             f"quadrature error {achieved:.3e} above tolerance for value {value:.6e}",
             value=value,

@@ -159,15 +159,15 @@ def max_order(family, tau, tau_switch):
     (1/(2n), 1/(n+1), sin^2(pi/(2n+2))); its inverse at tau / tau_switch
     gives n, and steps of one on the same closed form settle float edges.
     No sequence is built. Returns 0 when even n=1 violates the
-    constraint, and at most 10,000,001. Equality passes within a relative
-    float tolerance of 1e-12 so exact-ratio cases are not lost to
-    representation noise.
+    constraint, and at most 10,000,001; a non-finite tau or tau_switch
+    raises ValueError. Equality passes within a relative float tolerance
+    of 1e-12 so exact-ratio cases are not lost to representation noise.
     """
     family = family.lower()
     if family not in ("cpmg", "pdd", "udd"):
         raise ValueError(f"max_order applies to cpmg/pdd/udd, got {family!r}")
-    if not tau > tau_switch > 0:
-        raise ValueError("require tau > tau_switch > 0")
+    if not math.inf > tau > tau_switch > 0:
+        raise ValueError("require finite tau > tau_switch > 0")
     limit, gap = tau_switch * (1.0 - 1e-12), _MIN_GAP[family]
 
     def clears(n):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ddfilter import cli
 from ddfilter.cli import main, parse_sequence_spec
 from ddfilter.errors import BadConfig
 from ddfilter.io import read_json, write_json
@@ -180,6 +181,17 @@ def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+def test_memory_error_is_one_line_json_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, "sample_filter", out_of_memory)    # inside the filter subcommand
+    code, summary, err = run(capsys, "filter", "--seq", "udd:4", "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and summary is None
+    assert json.loads(err.strip()) == {"error": "MemoryError",
+                                       "message": "Unable to allocate 8.00 EiB for an array"}
 
 
 def test_family_without_n(tmp_path, capsys):

@@ -131,6 +131,24 @@ def test_full_output_diagnostics():
     assert ddiag["error_estimate"] <= 1e-8 * deep and ddiag["panels"] >= 1
 
 
+@pytest.mark.parametrize("spec", [PowerLaw(1e300, 5.0, 0.0, 1e5), WhiteBand(1e308, 1e5)])
+def test_overflowing_chi_raises_instead_of_converging(spec):
+    """A spectrum whose chi overflows gives an infinite value with a NaN
+    error estimate: that is a tolerance not met, not a converged chi."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ToleranceNotMet) as ei:
+            chi(make_canonical("udd", 4), spec, 1.0, full_output=True)
+    assert ei.value.value == math.inf and math.isnan(ei.value.achieved)
+
+
+def test_error_estimate_is_a_float_on_both_routes():
+    seq = make_canonical("udd", 4)
+    for spec, tau, path in ((OhmicSharpCutoff(1.0, 1.0), 5.0, "pairwise"),
+                            (PowerLaw(1.0, -2.0, 0.1, np.inf), 1.0, "quadrature")):
+        _, info = chi(seq, spec, tau, full_output=True)
+        assert info["path"] == path and type(info["error_estimate"]) is float
+
+
 def test_finite_width_raises_chi_for_stopband_bath():
     """Pulse width lifts the deep stop-band floor, so a bath living well
     below the passband edge decoheres a wide-pulse sequence much faster."""

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -204,6 +205,50 @@ def test_stop_band_filter_fid_is_direct():
     u = np.array([0.0, 0.1, 1.0, 5.0])     # u = 0 is at the crossover
     assert filt.degree == 0 and filt.crossover == 0.0
     assert np.array_equal(filt(u), filter_value(make_canonical("fid"), u))
+
+
+def test_stop_band_filter_frozen_at_ten_thousand_pulses():
+    """A deep search: the moment blocks reach degree 108 at crossover 50."""
+    filt = StopBandFilter(make_canonical("udd", 10000), 50.0)
+    assert (filt.degree, filt.crossover) == (108, 50.0)
+
+
+def _moments_mp(seq, count, mpmath):
+    """(nu_m, sum_k |c_k x_k^m|) for m < count, x_k = 2 t_k - 1, in 50-digit
+    arithmetic from the switching times' anchors and offsets."""
+    anchors, offsets, c = _switching_times(seq)
+    with mpmath.workdps(50):
+        x = [2 * (mpmath.mpf(float(a)) + mpmath.mpf(float(o))) - 1
+             for a, o in zip(anchors, offsets)]
+        terms = [mpmath.mpf(float(ck)) for ck in c]
+        out = []
+        for _ in range(count):
+            out.append((sum(terms), sum(abs(t) for t in terms)))
+            terms = [t * xk for t, xk in zip(terms, x)]
+        return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(["custom", "cpmg", "pdd", "udd"]), n=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1), width=st.sampled_from([0.0, 0.5]))
+@example(family="custom", n=1, seed=0, width=0.0)
+@example(family="custom", n=60, seed=1, width=0.5)
+@example(family="udd", n=40, seed=0, width=0.5)     # vanishing low moments
+def test_moment_blocks_are_compensated_sums(family, n, seed, width):
+    """Every moment is the exact sum rounded once, up to an eps^2 share of
+    the magnitude sum (the powers' and the compensated tree's rounding):
+    |nu_m - exact| <= eps/2 |exact| + eps^2 log2(2n + 4) sum_k |c_k x_k^m|.
+    Custom positions draw at random or take a family's, whose low moments
+    vanish."""
+    mpmath = pytest.importorskip("mpmath")
+    seq = _family(family, n, seed, width)
+    blocks = list(itertools.islice(filters._moment_blocks(seq), 8))
+    assert [b.size for b in blocks] == [1, 1, 2, 4, 8, 16, 32, 64]   # m < 1, [1, 2), [2, 4), ...
+    nu = np.concatenate(blocks)[:70]
+    eps = np.finfo(float).eps
+    for m, (exact, size) in enumerate(_moments_mp(seq, 70, mpmath)):
+        bound = eps / 2 * abs(exact) + eps ** 2 * np.log2(2 * n + 4) * size
+        assert abs(mpmath.mpf(float(nu[m])) - exact) <= bound, (m, float(nu[m]), float(exact))
 
 
 def _family(family, n, seed, width):

@@ -53,6 +53,14 @@ def test_tolerance_not_met_carries_payload():
     assert ei.value.achieved > 1e-14
 
 
+def test_non_finite_integral_is_not_converged():
+    """A NaN error estimate is not within any budget."""
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ToleranceNotMet) as ei:
+            integrate(lambda x: x * np.nan, [0.0, 1.0])
+    assert np.isnan(ei.value.value) and np.isnan(ei.value.achieved)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)

@@ -153,8 +153,8 @@ def test_max_order_values():
     assert max_order("cpmg", 1.0, 0.1) == 5
     # exact-ratio boundary: cpmg n gives min gap 1/(2n); tau_switch hits it
     assert max_order("cpmg", 1.0, 0.05) == 10
-    for family in ("cpmg", "pdd", "udd"):    # the cap, also where tau / tau_switch is inf
-        assert max_order(family, 1e300, 1e-300) == max_order(family, np.inf, 1.0) == 10_000_001
+    for family in ("cpmg", "pdd", "udd"):    # the cap, where tau / tau_switch overflows
+        assert max_order(family, 1e300, 1e-300) == max_order(family, 1e308, 1e-10) == 10_000_001
 
 
 def test_max_order_rejects_bad_input():
@@ -162,6 +162,11 @@ def test_max_order_rejects_bad_input():
         max_order("fid", 1.0, 0.1)
     with pytest.raises(ValueError):
         max_order("udd", 0.1, 0.1)
+    for family in ("cpmg", "pdd", "udd"):
+        for tau, tau_switch in ((np.inf, 0.1), (np.inf, 1.0), (np.inf, np.inf), (np.nan, 0.1),
+                                (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                max_order(family, tau, tau_switch)
 
 
 def _max_order_by_scan(family, tau, tau_switch):
