@@ -60,11 +60,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveFailure, ToleranceNotMet
+from .errors import CurveFailure, ToleranceNotMet, _positive
 from .filters import (PAIR_ROUNDING, StopBandFilter, _switching_times,
                       filter_value_finite, pair_plan)
-from .quadrature import (_MAX_PANELS, ABS_TOL, NODES, OSCILLATION_RESOLUTION,
-                         QuadratureConfig, build_edges, integrate_batch)
+from .quadrature import (_MAX_PANELS, NODES, QuadratureConfig, integrate_batch, panel_width,
+                         shortfall, spectrum_edges)
 from .spectra import effective_support
 
 
@@ -83,13 +83,7 @@ def chi(seq, spec, tau, cfg=None, full_output=False):
     "crossover_u". Raises ToleranceNotMet with the best chi and its
     achieved error attached when quadrature refinement runs out.
     """
-    return _chi(seq, spec, _check_tau(tau), cfg or QuadratureConfig(), full_output)
-
-
-def _check_tau(tau):
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
-    return tau
+    return _chi(seq, spec, _positive(tau, "tau"), cfg or QuadratureConfig(), full_output)
 
 
 def _chi(seq, spec, tau, cfg, full_output=False):
@@ -150,11 +144,11 @@ def _quadrature(jobs, spec, cfg):
                 epsilon[i] *= 0.05 * cfg.rel_tol * result / dropped
                 if epsilon[i] >= _MIN_EPSILON:
                     lo, hi = effective_support(spec, epsilon[i])
-                    if (hi - lo) / _panel_width(jobs[i][1]) <= _MAX_PANELS:    # fits the cap
+                    if (hi - lo) / panel_width(jobs[i][1]) <= _MAX_PANELS:    # fits the cap
                         again.append(i)
                         continue
             if failed or dropped > 0.1 * cfg.rel_tol * result:
-                out[i] = _tolerance_not_met(result, err + dropped)
+                out[i] = shortfall(result, err + dropped, "chi")
             else:
                 out[i] = (result, {"path": "quadrature", "error_estimate": err + dropped, **info})
         todo = again
@@ -165,38 +159,20 @@ _WIDENINGS = 3           # support widenings allowed per chi
 _MIN_EPSILON = 1e-300    # smallest support tail share asked of a spectrum
 
 
-def _panel_width(tau):
-    """Full panel width in omega: 2 pi / OSCILLATION_RESOLUTION in u = omega tau."""
-    return 2.0 * np.pi / (tau * OSCILLATION_RESOLUTION)
-
-
-# Geometric panels toward omega = 0 where S ~ omega^p, p < 0 (spec.singular_exponent):
-# the chi integrand of a filter with F ~ u^2 then goes as omega^p. Breakpoints
-# top 2^-j, j = 1..K, with top the support's end (so they follow rescale_time),
-# leave the first panel about 1e-12 of the integral: K = ceil(log2(1e12) / (p + 1)),
-# at most 400, where top 2^-K and its square stay normal doubles.
-_GRADED_SPAN, _MAX_GRADED = 1e12, 400
-
-
 def _integrate_chi(jobs, epsilons, spec, cfg):
     """(chi, error, failed, info) per (seq, tau, series) job, from quadrature
     on effective_support(spec, epsilon). Every job's full panels are
     2 pi / OSCILLATION_RESOLUTION wide in u = omega * tau (the filter's
     passband period over the resolution), so one node table serves them
-    all; a spectrum singular at omega = 0 adds geometric panels toward it
-    (_GRADED_SPAN)."""
+    all; quadrature.spectrum_edges adds the spectrum's kinks and, for a
+    spectrum singular at omega = 0, geometric panels toward it."""
     filters, which, infos, edge_sets = [], [], [], []
     direct = {}         # id(seq) -> index of its direct filter
     supports = {}       # (epsilon, tau) -> (lo, hi, edges), shared by its jobs
-    p = spec.singular_exponent()
-    k = 0 if p is None else min(math.ceil(math.log2(_GRADED_SPAN) / (p + 1.0)), _MAX_GRADED)
-    graded = np.exp2(-np.arange(1.0, k + 1))     # fractions of the support's end
     for (seq, tau, series), epsilon in zip(jobs, epsilons):
         if (epsilon, tau) not in supports:
             lo, hi = effective_support(spec, epsilon)
-            kinks = spec.breakpoints() + tuple(hi * graded)
-            supports[epsilon, tau] = lo, hi, build_edges(lo, hi, breakpoints=kinks,
-                                                         max_panel=_panel_width(tau))
+            supports[epsilon, tau] = lo, hi, spectrum_edges(spec, lo, hi, panel_width(tau))
         lo, hi, edges = supports[epsilon, tau]
         if series:
             filt = StopBandFilter(seq, hi * tau)
@@ -226,19 +202,12 @@ def _integrate_chi(jobs, epsilons, spec, cfg):
                 f[rows] = filters[k](u[rows], nodes=NODES)
         return spec.evaluate(om) * f / om ** 2
 
-    values, errors, panels = (a.tolist() for a in integrate_batch(integrand, edge_sets, cfg))
     out = []
-    for value, err, n_panels, info in zip(values, errors, panels, infos):
+    for value, err, n_panels, converged, info in zip(
+            *(a.tolist() for a in integrate_batch(integrand, edge_sets, cfg)), infos):
         info["panels"] = n_panels
-        out.append(((2.0 / np.pi) * value, (2.0 / np.pi) * err,
-                    not err <= max(cfg.rel_tol * abs(value), ABS_TOL), info))   # NaN fails
+        out.append(((2.0 / np.pi) * value, (2.0 / np.pi) * err, not converged, info))
     return out
-
-
-def _tolerance_not_met(value, achieved):
-    return ToleranceNotMet(
-        f"chi quadrature error {achieved:.3e} above tolerance for chi {value:.6e}",
-        value=value, achieved=achieved)
 
 
 def coherence_w(seq, spec, tau, cfg=None):
@@ -250,7 +219,7 @@ def white_fid_chi(level, tau):
     """Analytic anchor: FID under band-limited white noise, wide-band limit."""
     if not 0 <= level < math.inf:      # WhiteBand's rule
         raise ValueError(f"level must be finite and >= 0, got {float(level)!r}")
-    return 0.5 * level * _check_tau(tau)
+    return 0.5 * level * _positive(tau, "tau")
 
 
 @dataclass(frozen=True, slots=True)

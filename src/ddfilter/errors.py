@@ -6,9 +6,11 @@ included, as a one-line JSON error with exit code 1; exit code 2 is
 argparse's, for malformed command lines.
 
 Malformed arguments that are not domain errors (a count that is not an
-integer, say) raise ValueError; `_integer` is the one check for counts.
+integer, say) raise ValueError; `_integer` is the one check for counts,
+`_positive` for finite positive quantities (a time, a tolerance).
 """
 
+import math
 import numbers
 
 
@@ -17,6 +19,13 @@ def _integer(value, name, least):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _positive(value, name):
+    """value as a float, or ValueError unless it is a finite number > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class DDError(Exception):

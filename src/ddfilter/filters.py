@@ -384,7 +384,7 @@ def _moment_blocks(seq):
     th, tl = np.vstack([np.ones_like(xh), xh]), np.vstack([np.zeros_like(xl), xl])
     while True:
         block = slice((len(th) - 1) // 2, -1)         # m in [have/2, have), or m < 1
-        t, err = c * th[block], tl[block] @ c
+        t, err = c * th[block], _real_product(tl[block], c)
         while t.shape[1] > 1:
             h = t.shape[1] // 2
             s, e = _two_sum(t[:, :h], t[:, -h:])
@@ -406,12 +406,20 @@ def _factorial_series(nu, h):
 
 def _series_degree(h, bound):
     """Smallest M whose Taylor tail bound h^(M+1) / (M+1)! / (1 - h/(M+2)),
-    the tail of sum_m h^m/m! past degree M, is at most bound."""
-    from scipy.special import gammaln
-    start = max(1, math.ceil(h))
-    m = np.arange(start, start + math.ceil(8.0 * h + abs(math.log(bound))) + 8)
-    log_tail = (m + 1) * math.log(h) - gammaln(m + 2) - np.log1p(-h / (m + 2))
-    return int(m[np.argmax(log_tail <= math.log(bound))])
+    the tail of sum_m h^m/m! past degree M, is at most bound; M >= max(1, h),
+    where the tail bound falls with M, so doubling then bisection finds it."""
+    log_h, log_bound = math.log(h), math.log(bound)
+
+    def above(m):
+        return (m + 1) * log_h - math.lgamma(m + 2) - math.log1p(-h / (m + 2)) > log_bound
+
+    lo = hi = max(1, math.ceil(h))
+    while above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 class StopBandFilter:
@@ -433,9 +441,8 @@ class StopBandFilter:
         self.degree, self.crossover, self._nu = 0, 0.0, np.zeros(1)
         if seq.n == 0:
             return      # sin^2(u/2) has no stop band
-        floor = 2.0 * seq.n + 2.0
+        floor = 2.0 * seq.n + 2.0   # sum_k |c_k|, at every width
         u_top = min(float(u_max), floor, _SERIES_MAX_U)
-        total = float(np.abs(_switching_times(seq)[2]).sum())
         # widen the search from u = 8 by doubling: the degree, and so the
         # cost of the moments, grows with the range searched. The first
         # degree suits a series bound down to eps times the segment sum's.
@@ -444,19 +451,19 @@ class StopBandFilter:
         blocks, nu = _moment_blocks(seq), np.zeros(0)
         while True:
             degree = max(degree, _series_degree(u_try / 2.0,
-                                                _TAIL_SHARE * _EPS ** 2 * u_try / total))
+                                                _TAIL_SHARE * _EPS ** 2 * u_try / floor))
             while nu.size <= degree:
                 nu = np.concatenate([nu, next(blocks)])
             grid = u_try * np.exp2(np.arange(-240, 1) / 8.0)
             size = _factorial_series(np.abs(nu[:degree + 1]), grid / 2.0)
-            better = size < np.minimum(floor, grid)
+            better = size < grid       # grid <= u_top <= floor
             if better.all() and u_try < u_top:
                 u_try = min(2.0 * u_try, u_top)
                 continue
             i = grid.size - 1 if better.all() else int(np.argmin(better)) - 1
             if i < 0:
                 return  # the segment sum is as good everywhere
-            need = _series_degree(grid[i] / 2.0, _TAIL_SHARE * _EPS * size[i] / total)
+            need = _series_degree(grid[i] / 2.0, _TAIL_SHARE * _EPS * size[i] / floor)
             if need <= degree:
                 break
             degree = need + 8

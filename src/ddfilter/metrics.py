@@ -17,6 +17,7 @@ from .errors import (
     NoPeak,
     NumericFloor,
     WindowOutOfRange,
+    _positive,
 )
 from .filters import modified_filter_value
 
@@ -132,7 +133,7 @@ def rolloff(samples, window=None):
 
 def _default_window(f1, clean_lo_u, clean_hi_u):
     """[u_f1/32, u_f1/8] clipped to the clean range."""
-    return max(f1 / 32.0, clean_lo_u), min(f1 / 8.0, clean_hi_u)
+    return float(max(f1 / 32.0, clean_lo_u)), float(min(f1 / 8.0, clean_hi_u))
 
 
 def _fit_slope(samples, lo_u, hi_u):
@@ -205,8 +206,7 @@ def bandpass_profile(seq, tau, omega_grid):
     om = np.asarray(omega_grid, dtype=float)
     if not np.all(np.isfinite(om)):
         raise ValueError("omega_grid must be finite")
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    tau = _positive(tau, "tau")
     if om.size < 5:
         raise NoPeak("need at least 5 grid points")
     vals = modified_filter_value(seq, om, tau)

@@ -27,17 +27,17 @@ in the search.
 """
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import _pairwise, _quadrature
-from .errors import DDError, Infeasible, NotConverged, _integer
+from .errors import DDError, Infeasible, NotConverged, _integer, _positive
 from .filters import PAIR_ROUNDING, _node_z, pair_plan
 from .oracle import _grid_cos_sum
-from .quadrature import QuadratureConfig, build_edges, integrate_batch, panel_nodes
+from .quadrature import (QuadratureConfig, build_edges, integrate_batch, panel_nodes,
+                         panel_width, shortfall)
 from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
 
 
@@ -57,13 +57,6 @@ class OptimizationConfig:
         gmin = self.min_gap_fraction
         if gmin is not None and not (isinstance(gmin, numbers.Real) and 0.0 <= gmin < 1.0):
             raise ValueError(f"min_gap_fraction must be in [0, 1), got {gmin!r}")
-
-
-def _positive(value, name):
-    """value as a float, or ValueError unless it is a finite number > 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,6 @@ def _unsqueeze(gaps, gmin):
 
 _OBJ_QUAD = QuadratureConfig(rel_tol=1e-7, max_subdivisions=8)
 _AREA_QUAD = QuadratureConfig(rel_tol=1e-9, max_subdivisions=6)
-_RESOLUTION = 8          # panels per 2 pi of the fastest cosine: area fallback, kernel table
 _KERNEL_POINTS = 40001   # uniform lags 0, 1/40000, ..., 1 of the BADD kernel table
 
 
@@ -210,15 +202,16 @@ def _area_objective(u_max):
     or, when its rounding bound 64 eps U (sum_k |c_k|)^2 (every kernel
     value and its argument error are bounded by U) exceeds a tenth of the
     quadrature's relative tolerance, quadrature of the cancellation-free
-    filter.
+    filter. A quadrature row that misses its budget raises ToleranceNotMet,
+    or scores inf in the search.
     """
     u_max = _positive(u_max, "u_max")
 
     @functools.cache
-    def edges():    # u_max / (2 pi / _RESOLUTION) panels, built on the first fallback
-        return build_edges(0.0, u_max, max_panel=2.0 * np.pi / _RESOLUTION)
+    def edges():    # u_max / panel_width(1) panels, built on the first fallback
+        return build_edges(0.0, u_max, max_panel=panel_width(1.0))
 
-    def score(d, _raise_on_fail):
+    def score(d, raise_on_fail):
         plan = pair_plan(d.shape[1], 0.0)
         total, _mag = plan.sums(d, lambda lag: np.sin(u_max * lag) / lag)
         value = u_max * float(plan.c @ plan.c) + 2.0 * total
@@ -230,7 +223,12 @@ def _area_objective(u_max):
                     return np.sin(u / 2.0) ** 2
                 z = _node_z(d[rows[owner]], u, 0.0)
                 return 4.0 * (z.real ** 2 + z.imag ** 2)
-            value[rows] = integrate_batch(integrand, [edges()] * rows.size, _AREA_QUAD)[0]
+            area, err, _panels, converged = integrate_batch(integrand, [edges()] * rows.size,
+                                                            _AREA_QUAD)
+            if raise_on_fail and not converged.all():
+                k = np.argmin(converged)
+                raise shortfall(float(area[k]), float(err[k]), "area")
+            value[rows] = np.where(converged, area, np.inf)
         return value
     return _rows(score)
 
@@ -255,8 +253,11 @@ def _kernel_chi_objective(spec, tau):
     re-scores every winner with chi.
     """
     lo, hi = spec.effective_support(1e-10)
-    edges = build_edges(lo, hi, breakpoints=spec.breakpoints(),
-                        max_panel=2.0 * np.pi / (tau * _RESOLUTION))
+    # ungraded on purpose (not quadrature.spectrum_edges): where S ~ omega^p, p < 0,
+    # reaches omega = 0, K(d) diverges there and only the pair sum cancels the
+    # divergence; panels graded toward 0 grow K's common part past what the
+    # sum can cancel in double precision
+    edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=panel_width(tau))
     om, wts = panel_nodes(edges, 21)
     lags = np.linspace(0.0, 1.0, _KERNEL_POINTS)
     table = (2.0 / np.pi) * _grid_cos_sum(spec.evaluate(om) / om ** 2 * wts, om,

@@ -45,11 +45,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .coherence import chi
-from .errors import UnderResolved, _integer
+from .errors import ToleranceNotMet, UnderResolved, _integer, _positive
 from .filters import _real_product
-from .quadrature import (ABS_TOL, OSCILLATION_RESOLUTION, QuadratureConfig, build_edges,
-                         panel_nodes)
-from .sequences import PulseSequence, min_gap
+from .quadrature import (QuadratureConfig, error_budget, panel_nodes, panel_width,
+                         spectrum_edges)
+from .sequences import min_gap
 from .spectra import eval_spectrum
 
 KAPPA = 2.0          # chi = kappa * (quadratic form); phase variance = chi/2
@@ -78,8 +78,7 @@ def sampling_vector(seq, tau, n_steps):
     Raises UnderResolved when the cell width exceeds 1/8 of the smallest
     inter-pulse gap; flips would then alias across cells.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive and finite, got {float(tau)!r}")
+    tau = _positive(tau, "tau")
     n_steps = _integer(n_steps, "n_steps", 1)
     if n_steps < 8:
         raise UnderResolved("need at least 8 cells")
@@ -181,11 +180,15 @@ def _grid_transform(values, omega, dt):
 def autocovariance(spec, lags, cfg=None):
     """C(lag) = (1/pi) * integral_0^inf S(omega) cos(omega * lag) domega.
 
-    Vectorized over lags on shared Gauss-Legendre panels; panel width is
-    capped so the fastest cosine (largest lag) stays resolved, and a
-    lower-order rule on the same panels bounds the error. Lags that are
-    exactly the grid arange(N) * dt go through factored grid phasors;
-    others through a blocked cosine table.
+    Vectorized over lags on shared Gauss-Legendre panels, laid out as chi's
+    (quadrature.spectrum_edges, geometric toward a singular omega = 0);
+    panel width is capped so the fastest cosine (largest lag) stays
+    resolved, and a lower-order rule on the same panels bounds the error.
+    Every panel is halved until the largest error is within the budget of
+    the largest |C|, for at most cfg.max_subdivisions rounds; then
+    ToleranceNotMet carries the best C array and the achieved error. Lags
+    that are exactly the grid arange(N) * dt go through factored grid
+    phasors; others through a blocked cosine table.
     """
     cfg = cfg or QuadratureConfig()
     scalar = np.isscalar(lags)
@@ -196,10 +199,7 @@ def autocovariance(spec, lags, cfg=None):
             and np.array_equal(lags, np.arange(lags.size) * lags[1]))
     lo, hi = spec.power_support(min(cfg.rel_tol / 10.0, 0.1))
     lag_max = float(np.abs(lags).max())
-    cap = None
-    if lag_max > 0:
-        cap = 2.0 * np.pi / (lag_max * OSCILLATION_RESOLUTION)
-    edges = build_edges(lo, hi, breakpoints=spec.breakpoints(), max_panel=cap)
+    edges = spectrum_edges(spec, lo, hi, panel_width(lag_max) if lag_max > 0 else None)
 
     def panel_sum(order):
         om, wts = panel_nodes(edges, order)
@@ -215,12 +215,15 @@ def autocovariance(spec, lags, cfg=None):
     for _ in range(cfg.max_subdivisions + 1):
         c21 = panel_sum(21)
         c10 = panel_sum(10)
-        scale = max(float(np.abs(c21).max()), ABS_TOL)
+        scale = float(np.abs(c21).max())
         err = float(np.abs(c21 - c10).max())
-        if err <= cfg.rel_tol * scale:
+        if err <= error_budget(scale, cfg.rel_tol):
             break
         mids = 0.5 * (edges[:-1] + edges[1:])
         edges = np.sort(np.concatenate([edges, mids]))
+    else:
+        raise ToleranceNotMet(f"autocovariance error {err:.3e} above tolerance for max |C| "
+                              f"{scale:.6e}", value=c21, achieved=err)
     return float(c21[0]) if scalar else c21
 
 
@@ -242,7 +245,7 @@ def grammian_chi(seq, spec, tau, n_steps, cfg=None):
     w = np.fft.irfft(spec_fft * np.conj(spec_fft), size)[:n]
     c = autocovariance(spec, np.arange(n) * sv.dt, cfg)
     quad = w[0] * c[0] + 2.0 * float(_real_product(w[1:], c[1:]))
-    return KAPPA * sv.amplitude ** 2 * sv.dt ** 2 * quad
+    return float(KAPPA * sv.amplitude ** 2 * sv.dt ** 2 * quad)
 
 
 # PCG64.jumped(i) advances the state by i times this many steps

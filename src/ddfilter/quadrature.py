@@ -7,12 +7,19 @@ resolves the fastest filter cosine to about 1e-21 of a panel's value)
 and refined adaptively only where the 21- vs 10-point rule disagreement
 says the tolerance is not met.
 
+Every spectrum integral (chi's supports, the oracle's autocovariance)
+is paneled by spectrum_edges: the spectrum's kinks, geometric panels
+toward a singular omega = 0, and full panels of panel_width. BADD's
+kernel table alone stays ungraded (see optimize._kernel_chi_objective),
+and it and the OFDD area fallback take the same panel_width.
+
 integrate_batch runs several integrals together (a coherence curve's tau
 grid): each round calls the integrand on the new panels of every integral
 still refining, on panels x 31 nodes mid + hw NODES (GL21, then GL10;
 NODES[10] = 0 is the midpoint exactly), so an integrand can factor its
 work per panel, as filters._panel_z does. Each integral keeps its own
-error budget and halving rule; integrate is the batch of one. The panels
+error budget (error_budget) and halving rule, and gets its own verdict,
+converged or not; integrate is the batch of one. The panels
 go to the integrand in calls of at most _CALL_NODES nodes, and a batch
 stops halving at _MAX_PANELS panels in total (or its starting count, if
 larger), so memory stays bounded when an integral never converges; an
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ToleranceNotMet, _integer
+from .errors import ToleranceNotMet, _integer, _positive
 
 _nodes = functools.cache(leggauss)     # (nodes, weights) of the n-point rule
 
@@ -42,8 +49,7 @@ class QuadratureConfig:
     max_subdivisions: int = 12
 
     def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        _positive(self.rel_tol, "rel_tol")
         _integer(self.max_subdivisions, "max_subdivisions", 0)
 
 
@@ -60,17 +66,41 @@ def build_edges(a, b, breakpoints=(), max_panel=None):
     the remainder, so integrals whose caps map to one width in u share it."""
     if not -math.inf < a < b < math.inf:
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    if not (max_panel is None or 0 < max_panel < math.inf):
-        raise ValueError(f"max_panel must be finite and > 0, got {max_panel!r}")
     pts = np.array([a] + sorted(p for p in breakpoints if a < p < b) + [b], dtype=float)
     if max_panel is None:
         return pts
+    max_panel = _positive(max_panel, "max_panel")
     lo, hi = pts[:-1], pts[1:]
     counts = np.maximum(np.ceil((hi - lo) / max_panel), 1).astype(int)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     edges = np.repeat(lo, counts) + max_panel * (np.arange(first.size) - first)
     edges = edges[edges < np.repeat(hi, counts)]     # rounding may put the last at hi
     return np.append(edges, b)
+
+
+def panel_width(rate):
+    """Full panel width for a cosine of angular rate `rate`:
+    2 pi / (rate OSCILLATION_RESOLUTION)."""
+    return 2.0 * np.pi / (rate * OSCILLATION_RESOLUTION)
+
+
+# Geometric panels toward omega = 0 where S ~ omega^p, p < 0 (spec.singular_exponent):
+# chi's integrand (F ~ u^2 over omega^2) and the autocovariance's (a cosine)
+# then go as omega^p. Breakpoints hi 2^-j, j = 1..K, with hi the support's end
+# (finite for such a law, and scaled by rescale_time), leave the first panel
+# about 1e-12 of the integral: K = ceil(log2(1e12) / (p + 1)), at most 400,
+# where hi 2^-K and its square stay normal doubles.
+_GRADED_SPAN, _MAX_GRADED = 1e12, 400
+
+
+def spectrum_edges(spec, lo, hi, max_panel):
+    """Panel edges of a spectrum integral over [lo, hi]: the spectrum's
+    kinks, geometric panels toward a singular omega = 0 (_GRADED_SPAN) and
+    full panels max_panel wide."""
+    p = spec.singular_exponent()
+    k = 0 if p is None else min(math.ceil(math.log2(_GRADED_SPAN) / (p + 1.0)), _MAX_GRADED)
+    graded = tuple(hi * 0.5 ** j for j in range(1, k + 1))
+    return build_edges(lo, hi, breakpoints=spec.breakpoints() + graded, max_panel=max_panel)
 
 
 def panel_nodes(edges, order):
@@ -102,11 +132,12 @@ def integrate_batch(f, edge_sets, cfg=None):
 
     f(x, owner) gets a panels x len(NODES) node array and, per panel row,
     the index of the edge set it belongs to. Returns arrays (values,
-    error_estimates, n_panels), one entry per edge set. Each integral halves
-    the panels whose local error exceeds an equal share of its own budget
-    max(rel_tol |value|, ABS_TOL), up to cfg.max_subdivisions rounds, until
-    its error is within the budget. An error above the budget is the
-    caller's to report.
+    error_estimates, n_panels, converged), one entry per edge set. Each
+    integral halves the panels whose local error exceeds an equal share of
+    its own budget max(rel_tol |value|, ABS_TOL), up to cfg.max_subdivisions
+    rounds, until its error is within the budget; converged says whether it
+    is (a NaN error is not). An unconverged integral is the caller's to
+    report.
 
     Each integral gets what integrate gives it alone. A batch stops halving
     at max(_MAX_PANELS, starting panels) in total; an integral refused a
@@ -118,20 +149,21 @@ def integrate_batch(f, edge_sets, cfg=None):
         raise ValueError("need at least two panel edges")
     if not np.isfinite(np.concatenate(edge_sets)).all():
         raise ValueError("panel edges must be finite")
-    values, errors, counts, refused = _refine(f, edge_sets, cfg)
+    values, errors, counts, refused, converged = _refine(f, edge_sets, cfg)
     if len(edge_sets) > 1:
         for k in np.flatnonzero(refused):
             alone = _refine(lambda x, _owner, k=k: f(x, np.full(x.shape[0], k)),
                             [edge_sets[k]], cfg)
-            values[k], errors[k], counts[k] = (a[0] for a in alone[:3])
-    return values, errors, counts
+            values[k], errors[k], counts[k], _, converged[k] = (a[0] for a in alone)
+    return values, errors, counts, converged
 
 
 def _refine(f, edge_sets, cfg):
     """integrate_batch's refinement rounds under one panel cap: (values,
-    errors, counts, refused), where refused marks the integrals that
-    stopped because a halving would have passed the cap. Halvings are
-    granted integral by integral, in order, while they fit."""
+    errors, counts, refused, converged), where refused marks the integrals
+    that stopped because a halving would have passed the cap, and converged
+    those whose error is within their budget. Halvings are granted integral
+    by integral, in order, while they fit."""
     k = len(edge_sets)
     counts = np.array([e.size - 1 for e in edge_sets])
     lo = np.concatenate([e[:-1] for e in edge_sets])
@@ -143,7 +175,7 @@ def _refine(f, edge_sets, cfg):
     for rounds in range(cfg.max_subdivisions + 1):
         starts = counts.cumsum() - counts
         values, errors = np.add.reduceat(vals, starts), np.add.reduceat(errs, starts)
-        budget = np.maximum(cfg.rel_tol * np.abs(values), ABS_TOL)
+        budget = error_budget(values, cfg.rel_tol)
         refining &= errors > budget
         if rounds == cfg.max_subdivisions or not refining.any():
             break
@@ -171,7 +203,13 @@ def _refine(f, edge_sets, cfg):
         vals = np.concatenate([vals[~bad], add_v])[order]
         errs = np.concatenate([errs[~bad], add_e])[order]
         owner = np.concatenate([owner[~bad], add_owner])[order]
-    return values, errors, counts, refused
+    return values, errors, counts, refused, errors <= budget     # a NaN error fails
+
+
+def error_budget(values, rel_tol):
+    """An integral's error budget, max(rel_tol |value|, ABS_TOL): it has
+    converged when its error is at most that (so not when the error is NaN)."""
+    return np.maximum(rel_tol * np.abs(values), ABS_TOL)
 
 
 def integrate(f, edges, cfg=None):
@@ -179,16 +217,18 @@ def integrate(f, edges, cfg=None):
     arrays, over the paneled interval.
 
     Returns (value, error_estimate, n_panels): integrate_batch on one edge
-    set. When the error estimate is above max(rel_tol |value|, ABS_TOL)
-    ToleranceNotMet carries the best value and the achieved estimate.
+    set. When it has not converged, ToleranceNotMet carries the best value
+    and the achieved estimate.
     """
-    cfg = cfg or QuadratureConfig()
-    values, errors, panels = integrate_batch(lambda x, _owner: f(x), [edges], cfg)
+    values, errors, panels, converged = integrate_batch(lambda x, _owner: f(x), [edges], cfg)
     value, achieved = float(values[0]), float(errors[0])
-    if not achieved <= max(cfg.rel_tol * abs(value), ABS_TOL):     # NaN fails too
-        raise ToleranceNotMet(
-            f"quadrature error {achieved:.3e} above tolerance for value {value:.6e}",
-            value=value,
-            achieved=achieved,
-        )
+    if not converged[0]:
+        raise shortfall(value, achieved)
     return value, achieved, int(panels[0])
+
+
+def shortfall(value, achieved, what="value"):
+    """The ToleranceNotMet of an integral that missed its budget, carrying
+    its best value and the achieved error estimate."""
+    return ToleranceNotMet(f"quadrature error {achieved:.3e} above tolerance for {what} "
+                           f"{value:.6e}", value=value, achieved=achieved)

@@ -177,6 +177,33 @@ def test_figures_bundle(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
+@pytest.mark.parametrize("which, count", [("ff1", 24), ("width", 4)])
+def test_figures_filter_bundles(tmp_path, capsys, which, count):
+    """ff1: cpmg, pdd and udd at n = 3..10; width: udd7 at four pulse widths."""
+    out_dir = tmp_path / which
+    code, summary, _ = run(capsys, "figures", "--which", which, "--out-dir", str(out_dir))
+    assert code == 0
+    files = read_json(out_dir / "manifest.json")["files"]
+    assert summary["n_files"] == len(files) == count
+    header, rows = read_table(out_dir / files[-1])
+    assert header == "u,F,variant,n" and rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "lodd", "--n", "2", "--tau", "1"),
+    ("optimize", "badd", "--tau", "1", "--tau-switch", "0.3", "--n-max", "2"),
+], ids=["lodd", "badd"])
+def test_optimize_lodd_and_badd_in_process(tmp_path, capsys, ohmic_file, argv):
+    out = tmp_path / "opt.json"
+    code, summary, _ = run(capsys, *argv, "--spectrum", ohmic_file, "--restarts", "0",
+                           "--max-iter", "40", "--out", str(out))
+    assert code == 0
+    assert summary["command"] == f"optimize-{argv[1]}"
+    assert summary["objective_value"] <= min(summary["baseline_values"].values()) + 1e-15
+    doc = read_json(out)
+    assert doc["tau"] == 1.0 and doc["sequence"]["n"] == summary["n"]
+
+
 def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

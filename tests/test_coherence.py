@@ -15,6 +15,7 @@ from ddfilter import (
     Tabulated,
     ToleranceNotMet,
     WhiteBand,
+    bandpass_profile,
     build_edges,
     canonical_deltas,
     chi,
@@ -23,8 +24,10 @@ from ddfilter import (
     make_canonical,
     make_custom,
     min_gap,
+    optimize_lodd,
     reflect,
     rescale_time,
+    sampling_vector,
     white_fid_chi,
 )
 from ddfilter.coherence import _quadrature
@@ -96,6 +99,20 @@ def test_zero_spectrum_gives_zero_chi():
 def test_chi_rejects_bad_tau():
     with pytest.raises(ValueError):
         chi(make_canonical("fid"), OHMIC, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_every_tau_check_is_one_check(tau):
+    """chi, the oracle's sampling vector, the band-pass profile and the
+    optimizers check a time with errors._positive: one rule, one message."""
+    seq = make_canonical("cpmg", 2)
+    for call in (lambda: chi(seq, OHMIC, tau), lambda: white_fid_chi(0.1, tau),
+                 lambda: sampling_vector(seq, tau, 1024),
+                 lambda: bandpass_profile(seq, tau, np.linspace(0.1, 30.0, 200)),
+                 lambda: optimize_lodd(OHMIC, 2, tau)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"tau must be positive and finite, got {tau!r}"
 
 
 def test_chi_rejects_non_finite_tau():

@@ -164,6 +164,13 @@ def test_bandpass_profile_rejects_non_finite_input(tau, grid):
         bandpass_profile(make_canonical("cpmg", 4), tau, grid)
 
 
+def test_fit_window_is_python_floats():
+    """Whichever bound sets the window: u_f1/32 and u_f1/8 (udd4), or an
+    end of the clean span (udd11's low end, pdd4's and FID's high end)."""
+    for fam, n in (("udd", 4), ("udd", 11), ("pdd", 4), ("fid", None)):
+        assert [type(u) for u in filter_metrics(_samples(fam, n)).fit_window] == [float, float]
+
+
 def test_passband_insufficient_span():
     with pytest.raises(InsufficientSpan):
         passband_stats(_samples("cpmg", 4, hi=100.0))

@@ -289,6 +289,25 @@ def test_filter_area_builds_panel_edges_only_for_the_fallback():
     assert small[0] == small[1] == pytest.approx(1.1707408821e-12, rel=1e-9)
 
 
+def test_an_unconverged_area_raises_and_is_inf_to_the_search():
+    """udd30's area up to u = 3 (2.1e-31) sits at the segment sum's
+    rounding floor, about eps^2 U^3 / 3: its quadrature misses the 1e-9
+    budget by far, so filter_area and OFDD's baselines raise
+    ToleranceNotMet with the best value and its error, and the search
+    scores the row inf, beside a cpmg30 row whose quadrature converges."""
+    udd, cpmg = canonical_deltas("udd", 30), canonical_deltas("cpmg", 30)
+    with pytest.raises(ToleranceNotMet) as err:
+        filter_area(make_canonical("udd", 30), 3.0)
+    assert err.value.value == pytest.approx(2.14e-31, rel=0.01)
+    assert err.value.achieved > 1e-3 * err.value.value
+    with pytest.raises(ToleranceNotMet):
+        optimize_ofdd(30, 3.0, FAST)
+    scores = _area_objective(3.0)([udd, cpmg], raise_on_fail=False)
+    assert scores[0] == np.inf
+    assert scores[1] == filter_area(make_canonical("cpmg", 30), 3.0) == pytest.approx(
+        3.27e-6, rel=0.01)
+
+
 def test_filter_area_positive_and_increasing():
     a5 = filter_area(make_canonical("udd", 6), 5.0)
     a10 = filter_area(make_canonical("udd", 6), 10.0)
@@ -431,15 +450,16 @@ def _reference_pair_sums(seq, kernel, block=_PAIR_BLOCK):
 
 def _reference_area(deltas, u_max):
     """The OFDD area as a PulseSequence, the reference pair sum and its
-    quadrature fallback."""
+    quadrature fallback, which raises ToleranceNotMet when it misses its
+    budget."""
     seq = make_custom(deltas)
     total, _mag = _reference_pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
     c = _switching_times(seq)[2]
     value = u_max * float(c @ c) + 2.0 * total
     if PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2 <= 0.1 * _AREA_QUAD.rel_tol * value:
         return value
-    edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 8)
-    return integrate_batch(lambda u, _owner: filter_value(seq, u), [edges], _AREA_QUAD)[0][0]
+    edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 4)
+    return integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD)[0]
 
 
 def _outcome(f, *args):
@@ -491,7 +511,7 @@ def test_array_objectives_are_bit_identical(d, which, log_tau, u_max):
     # the search scores a row whose chi raises inf
     searched = _chi_objective(spec, tau)([d], raise_on_fail=False)[0]
     assert searched == (np.inf if isinstance(want, type) else want)
-    assert _one_row(_area_objective(u_max), d) == _reference_area(d, u_max)
+    assert _outcome(_one_row, _area_objective(u_max), d) == _outcome(_reference_area, d, u_max)
     kernel = OHMIC.structure_function
     for width in (0.0, 0.5 * (np.diff(np.concatenate([[0.0], d, [1.0]])).min())):
         seq = make_custom(d, width_ratio=width)
@@ -574,7 +594,7 @@ def test_objective_rows_are_independent(rows, which, log_tau, u_max):
     spec, tau = _SPECTRA[which], 10.0 ** log_tau
     objectives = [(_chi_objective(spec, tau),
                    lambda d: _outcome(chi, make_custom(d), spec, tau, _OBJ_QUAD)),
-                  (_area_objective(u_max), lambda d: _reference_area(d, u_max)),
+                  (_area_objective(u_max), lambda d: _outcome(_reference_area, d, u_max)),
                   (_supra_kernel(2.0), None)]
     for objective, reference in objectives:
         batch = objective(rows, raise_on_fail=False)

@@ -14,7 +14,10 @@ import ddfilter
 from ddfilter import (
     NonIntegrableSpectrum,
     OhmicSharpCutoff,
+    PowerLaw,
+    QuadratureConfig,
     SupraOhmicExp,
+    ToleranceNotMet,
     UnderResolved,
     WhiteBand,
     autocovariance,
@@ -108,6 +111,35 @@ def test_autocovariance_rejects_unbounded_band():
 def test_autocovariance_rejects_non_finite_lags(lags):
     with pytest.raises(ValueError, match="lags must be finite"):
         autocovariance(OHMIC, lags)
+
+
+@pytest.mark.parametrize("p", [-0.5, -0.9])
+def test_autocovariance_of_a_law_singular_at_zero(p):
+    """S = omega^p on [0, 5], p < 0: C(0) = 5^(p+1) / ((p+1) pi). The
+    panels grade toward omega = 0 as chi's do, so the first round (two
+    cosine sums) converges; uniform panels ran all 13 rounds and ended
+    13.7% low at p = -0.9."""
+    with mock.patch("ddfilter.oracle._grid_cos_sum", wraps=oracle._grid_cos_sum) as sums:
+        c = autocovariance(PowerLaw(1.0, p, 0.0, 5.0), np.arange(2048) * 0.01)
+    assert c[0] == pytest.approx(5.0 ** (p + 1) / ((p + 1) * np.pi), rel=1e-12, abs=0)
+    assert sums.call_count == 2
+
+
+def test_autocovariance_refines_and_raises_when_rounds_run_out():
+    """S = omega^1.5 on [0, 5] is not smooth at omega = 0: the first round
+    misses the budget, halving every panel converges on C(0) = 5^2.5 /
+    (2.5 pi), and with no halving allowed ToleranceNotMet carries the best
+    C and the achieved error."""
+    spec, lags = PowerLaw(1.0, 1.5, 0.0, 5.0), np.array([0.0, 1.0])
+    with mock.patch("ddfilter.oracle._grid_cos_sum", wraps=oracle._grid_cos_sum) as sums:
+        c = autocovariance(spec, lags)
+    assert sums.call_count > 2
+    assert c[0] == pytest.approx(5.0 ** 2.5 / (2.5 * np.pi), rel=1e-9)
+    cfg = QuadratureConfig(max_subdivisions=0)
+    with pytest.raises(ToleranceNotMet) as err:
+        autocovariance(spec, lags, cfg)
+    assert err.value.achieved > cfg.rel_tol * np.abs(err.value.value).max()
+    assert err.value.value == pytest.approx(c, rel=1e-5)
 
 
 def test_sampling_vector_invariants():
@@ -221,6 +253,16 @@ def test_grammian_matches_quadrature_chi():
             cf = chi(seq, spec, TAU)
             cg = grammian_chi(seq, spec, TAU, 4096)
             assert abs(cg - cf) / cf < 0.01, (fam, n, type(spec).__name__)
+
+
+@pytest.mark.parametrize("family, n", [("fid", 0), ("pdd", 2)])
+def test_grammian_matches_chi_on_a_law_singular_at_zero(family, n):
+    """Under S = omega^-0.9 on [0, 5] the Grammian's autocovariance takes
+    chi's graded panels and agrees with chi to 1e-6 (it read 19.9% low for
+    FID on uniform panels)."""
+    spec = PowerLaw(1.0, -0.9, 0.0, 5.0)
+    seq = make_canonical(family, n)
+    assert grammian_chi(seq, spec, TAU, 1024) == pytest.approx(chi(seq, spec, TAU), rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [4099, 10001, 10002])
@@ -354,6 +396,11 @@ def test_oracle_report_keys():
     assert rep["N"] == 2048 and rep["M"] == 200 and rep["seed"] == 2
     no_mc = oracle_report(make_canonical("cpmg", 4), OHMIC, TAU, 2048)
     assert "w_mc" not in no_mc
+
+
+def test_oracle_report_values_are_python_floats():
+    rep = oracle_report(make_canonical("cpmg", 4), OHMIC, TAU, 2048)
+    assert [type(rep[k]) for k in ("chi_freq", "chi_grammian", "rel_diff")] == [float] * 3
 
 
 def test_monte_carlo_memory_does_not_grow_with_tau():

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddfilter import QuadratureConfig, ToleranceNotMet, build_edges, integrate
+from ddfilter import (OhmicSharpCutoff, PowerLaw, QuadratureConfig, Tabulated, ToleranceNotMet,
+                      build_edges, integrate)
 from ddfilter import quadrature
-from ddfilter.quadrature import integrate_batch, panel_nodes
+from ddfilter.quadrature import integrate_batch, panel_nodes, spectrum_edges
 
 
 def test_smooth_integral_exact():
@@ -136,8 +137,8 @@ def test_integrate_batch_matches_integrate_per_set(cap, monkeypatch):
     cfg = QuadratureConfig(rel_tol=1e-10)
     refused = quadrature._refine(f, edge_sets, cfg)[3]
     assert refused.any() == (cap is not None)
-    values, errors, panels = integrate_batch(f, edge_sets, cfg)
-    assert list(panels) == [14, 15, 11]
+    values, errors, panels, converged = integrate_batch(f, edge_sets, cfg)
+    assert list(panels) == [14, 15, 11] and converged.all()
     for k, edges in enumerate(edge_sets):
         one = integrate(lambda x: f(x, np.full(x.shape[0], k)), edges, cfg)
         assert (values[k], errors[k], panels[k]) == one
@@ -169,3 +170,37 @@ def test_panel_nodes_integrate_polynomials_exactly(order):
     assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] and nodes[-1] < 3.0
     k = 2 * order - 1
     assert weights @ nodes ** k == pytest.approx(3.0 ** (k + 1) / (k + 1), rel=1e-13)
+
+
+def test_refine_halves_the_worst_panels_when_none_is_above_its_share(monkeypatch):
+    """Six panels, each at exactly a sixth of a zero integral's ABS_TOL
+    budget, sum to just above it in floating point, so no panel is above
+    its share: the worst are halved instead of the integral giving up."""
+    share = quadrature.ABS_TOL / 6
+    assert np.add.reduce(np.full(6, share)) > quadrature.ABS_TOL
+    first = [np.full(6, share)]
+
+    def panel_values(_f, lo, _hi, _owner):      # later panels are exact
+        return np.zeros(lo.size), first.pop() if first else np.zeros(lo.size)
+
+    monkeypatch.setattr(quadrature, "_panel_values", panel_values)
+    values, errors, counts, refused, converged = quadrature._refine(
+        None, [np.linspace(0.0, 1.0, 7)], QuadratureConfig())
+    assert counts.tolist() == [12] and converged.tolist() == [True] and not refused.any()
+    assert values.tolist() == errors.tolist() == [0.0]
+
+
+def test_spectrum_edges_grade_toward_a_singular_zero():
+    """A law S ~ omega^p, p < 0, down to omega = 0 gets breakpoints
+    hi 2^-j, j = 1..ceil(40 / (p + 1)) (at most 400), beside its full
+    panels; every other spectrum gets build_edges over its kinks."""
+    for p, k in ((-0.5, 80), (-0.9, 399), (-0.999, 400)):
+        edges = spectrum_edges(PowerLaw(1.0, p, 0.0, 5.0), 0.0, 5.0, 0.5)
+        graded = 5.0 * np.exp2(-np.arange(k, 0, -1.0))
+        assert edges[:2].tolist() == [0.0, graded[0]] and set(graded) <= set(edges)
+        assert edges.tolist() == build_edges(0.0, 5.0, tuple(graded), 0.5).tolist()
+    table = Tabulated((0.1, 1.0, 3.0), (1.0, 0.5, 0.2))
+    for spec, lo, hi in ((table, 0.1, 3.0), (OhmicSharpCutoff(1.0, 2.0), 0.0, 2.0),
+                         (PowerLaw(1.0, 0.5, 0.0, 5.0), 0.0, 5.0)):
+        assert spectrum_edges(spec, lo, hi, 0.3).tolist() == \
+            build_edges(lo, hi, spec.breakpoints(), 0.3).tolist()

@@ -103,6 +103,16 @@ def test_supra_ohmic_form_and_supports():
     assert s.power_support(1e-10)[1] > s.effective_support(1e-10)[1]
 
 
+def test_power_law_power_support():
+    """An unbounded law (p < -1) holds epsilon of its power above W =
+    omega_lo epsilon^(1/(p+1)), since int_W^inf S / int_lo^inf S =
+    (W/omega_lo)^(p+1); a bounded law's support is its band."""
+    for p in (-3.0, -1.5):
+        lo, hi = PowerLaw(2.0, p, 0.5, math.inf).power_support(1e-6)
+        assert lo == 0.5 and (hi / lo) ** (p + 1.0) == pytest.approx(1e-6, rel=1e-12)
+    assert PowerLaw(1.0, -0.5, 0.0, 5.0).power_support(1e-6) == (0.0, 5.0)
+
+
 def test_tabulated_loglog_interpolation():
     s = Tabulated(omegas=(1.0, 10.0, 100.0), values=(1.0, 0.1, 0.01))
     # exact slope -1 in log-log space
