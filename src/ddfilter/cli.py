@@ -90,19 +90,31 @@ def _add_grid_options(p):
                    help="grid points per decade (log spacing)")
 
 
-def cmd_filter(args):
-    seq = _resolve_sequence(args)
-    if args.precision:
-        variant = "quantized"
-    elif seq.width_ratio > 0:
-        variant = "finite"
-    else:
-        variant = "ideal"
-    s = sample_filter(seq, args.u_min, args.u_max, args.ppd,
-                      variant=variant, precision=args.precision)
+def _samples(seq, u_min, u_max, ppd, precision=None):
+    """sample_filter in the sequence's variant: quantized when a precision
+    is given, else finite for a finite pulse width, else ideal."""
+    variant = "quantized" if precision else "finite" if seq.width_ratio > 0 else "ideal"
+    return sample_filter(seq, u_min, u_max, ppd, variant=variant, precision=precision)
+
+
+def _write_samples(path, s):
+    """The u, F, variant, n table of a sample set; returns its row count."""
     rows = [(u, F, s.variant, s.n) for u, F in zip(s.u_grid, s.values)]
-    io.write_csv(args.out, ("u", "F", "variant", "n"), rows)
-    _summary({"command": "filter", "out": args.out, "points": len(rows),
+    io.write_csv(path, ("u", "F", "variant", "n"), rows)
+    return len(rows)
+
+
+def _write_ratio(path, comp):
+    """The u, ratio, flag table of a filter ratio; returns its row count."""
+    rows = list(zip(comp.u_grid, comp.ratio, comp.flags))
+    io.write_csv(path, ("u", "ratio", "flag"), rows)
+    return len(rows)
+
+
+def cmd_filter(args):
+    s = _samples(_resolve_sequence(args), args.u_min, args.u_max, args.ppd, args.precision)
+    points = _write_samples(args.out, s)
+    _summary({"command": "filter", "out": args.out, "points": points,
               "n": s.n, "variant": s.variant})
     return 0
 
@@ -128,9 +140,7 @@ def cmd_coherence(args):
 
 
 def cmd_metrics(args):
-    seq = _resolve_sequence(args)
-    variant = "finite" if seq.width_ratio > 0 else "ideal"
-    s = sample_filter(seq, args.u_min, args.u_max, args.ppd, variant=variant)
+    s = _samples(_resolve_sequence(args), args.u_min, args.u_max, args.ppd)
     m = filter_metrics(s).to_dict()
     m["n"] = s.n
     if args.out:
@@ -141,15 +151,12 @@ def cmd_metrics(args):
 
 
 def cmd_compare(args):
-    sa = parse_sequence_spec(args.a)
-    sb = parse_sequence_spec(args.b)
-    fa = sample_filter(sa, args.u_min, args.u_max, args.ppd)
-    fb = sample_filter(sb, args.u_min, args.u_max, args.ppd)
+    fa, fb = (_samples(parse_sequence_spec(spec), args.u_min, args.u_max, args.ppd)
+              for spec in (args.a, args.b))
     comp = filter_ratio(fa, fb)
-    rows = list(zip(comp.u_grid, comp.ratio, comp.flags))
-    io.write_csv(args.out, ("u", "ratio", "flag"), rows)
+    points = _write_ratio(args.out, comp)
     masked = sum(1 for f in comp.flags if f == "masked")
-    _summary({"command": "compare", "out": args.out, "points": len(rows),
+    _summary({"command": "compare", "out": args.out, "points": points,
               "masked_points": masked})
     return 0
 
@@ -210,32 +217,22 @@ def cmd_figures(args):
     os.makedirs(args.out_dir, exist_ok=True)
     files = []
 
-    def dump(name, samples):
-        path = os.path.join(args.out_dir, name)
-        rows = [(u, F, samples.variant, samples.n)
-                for u, F in zip(samples.u_grid, samples.values)]
-        io.write_csv(path, ("u", "F", "variant", "n"), rows)
+    def dump(name, seq, u_min):
+        _write_samples(os.path.join(args.out_dir, name), _samples(seq, u_min, 1e3, 50))
         files.append(name)
 
     if args.which == "ff1":
         for fam in ("cpmg", "pdd", "udd"):
             for n in range(3, 11):
-                dump(f"{fam}{n}.csv",
-                     sample_filter(make_canonical(fam, n), 1e-2, 1e3, 50))
+                dump(f"{fam}{n}.csv", make_canonical(fam, n), 1e-2)
     elif args.which == "width":
         base = make_canonical("udd", 7)
         for r in (0.0, 1e-4, 1e-3, 1e-2):
-            seq = make_custom(base.deltas, width_ratio=r, label="udd")
             dump(f"udd7_r{r:g}.csv".replace("-", "m"),
-                 sample_filter(seq, 1e-3, 1e3, 50,
-                               variant="finite" if r else "ideal"))
+                 make_custom(base.deltas, width_ratio=r, label="udd"), 1e-3)
     else:  # ratio
-        fa = sample_filter(make_canonical("udd", 10), 1e-3, 1e3, 200)
-        fb = sample_filter(make_canonical("cpmg", 10), 1e-3, 1e3, 200)
-        comp = filter_ratio(fa, fb)
-        path = os.path.join(args.out_dir, "udd10_over_cpmg10.csv")
-        io.write_csv(path, ("u", "ratio", "flag"),
-                     list(zip(comp.u_grid, comp.ratio, comp.flags)))
+        fa, fb = (_samples(make_canonical(fam, 10), 1e-3, 1e3, 200) for fam in ("udd", "cpmg"))
+        _write_ratio(os.path.join(args.out_dir, "udd10_over_cpmg10.csv"), filter_ratio(fa, fb))
         files.append("udd10_over_cpmg10.csv")
 
     manifest = {"which": args.which, "files": files}

@@ -36,7 +36,6 @@ def dumps_json(obj, indent=None):
     def emit(o, level):
         pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
         end = "" if indent is None else "\n" + " " * (indent * level)
-        sep = "," if indent is None else ","
         if isinstance(o, bool) or o is None:
             return json.dumps(o)
         if isinstance(o, (np.floating, float)):
@@ -52,12 +51,12 @@ def dumps_json(obj, indent=None):
                 return "{}"
             items = [f'{json.dumps(str(k))}: {emit(v, level + 1)}'
                      for k, v in o.items()]
-            return "{" + pad + (sep + pad).join(items) + end + "}"
+            return "{" + pad + ("," + pad).join(items) + end + "}"
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
             items = [emit(v, level + 1) for v in o]
-            return "[" + pad + (sep + pad).join(items) + end + "]"
+            return "[" + pad + ("," + pad).join(items) + end + "]"
         raise TypeError(f"not JSON-serializable: {type(o)!r}")
 
     return emit(obj, 0)

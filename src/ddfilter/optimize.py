@@ -21,9 +21,9 @@ once per pulse count. The rows whose pairwise rounding bound is too large
 go to quadrature in one batch per objective call: the area's straight
 from their positions (filters._node_z over rows), chi's (also every row
 of a spectrum without a structure function) through the coherence
-quadrature, one sequence per row. Only those chi rows and the final
-result build a sequence; a DDError chi raises propagates, or scores inf
-in the search.
+quadrature, one sequence per row, as are the area rows whose pair sum
+keeps no digit. Only those rows and the final result build a sequence;
+a DDError a quadrature raises propagates, or scores inf in the search.
 """
 
 import functools
@@ -39,6 +39,7 @@ from .oracle import _grid_cos_sum
 from .quadrature import (QuadratureConfig, build_edges, integrate_batch, panel_nodes,
                          panel_width, shortfall)
 from .sequences import PulseSequence, canonical_deltas, make_custom, min_gap
+from .spectra import PowerLaw
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,22 @@ def _rows(score):
     return f
 
 
+def _quadrature_rows(value, rows, jobs, spec, cfg, raise_on_fail):
+    """value[i] = the chi of row i's (seq, tau, series) job, for the rows
+    and jobs in step, from one coherence._quadrature batch. A job's DDError
+    (every job's, when the batch raises) raises, or scores inf with
+    raise_on_fail=False."""
+    try:
+        outs = _quadrature(jobs, spec, cfg)
+    except DDError as exc:      # the batch raised: every row fails with it
+        outs = [exc] * len(jobs)
+    for i, out in zip(rows, outs):
+        if isinstance(out, DDError) and raise_on_fail:
+            raise out
+        value[i] = np.inf if isinstance(out, DDError) else out[0]
+    return value
+
+
 def _chi_objective(spec, tau):
     """chi(make_custom(d), spec, tau, _OBJ_QUAD) per row d: the pairwise
     route takes every row in one sum, and the rows it leaves go to
@@ -181,16 +198,8 @@ def _chi_objective(spec, tau):
             if done.all():
                 return value
             rows = np.flatnonzero(~done)
-        try:
-            outs = _quadrature([(make_custom(d[i]), tau, bool(series[i])) for i in rows],
-                               spec, _OBJ_QUAD)
-        except DDError as exc:      # the batch raised: every row fails with it
-            outs = [exc] * len(rows)
-        for i, out in zip(rows, outs):
-            if isinstance(out, DDError) and raise_on_fail:
-                raise out
-            value[i] = np.inf if isinstance(out, DDError) else out[0]
-        return value
+        jobs = [(make_custom(d[i]), tau, bool(series[i])) for i in rows]
+        return _quadrature_rows(value, rows, jobs, spec, _OBJ_QUAD, raise_on_fail)
     return _rows(score)
 
 
@@ -202,10 +211,14 @@ def _area_objective(u_max):
     or, when its rounding bound 64 eps U (sum_k |c_k|)^2 (every kernel
     value and its argument error are bounded by U) exceeds a tenth of the
     quadrature's relative tolerance, quadrature of the cancellation-free
-    filter. A quadrature row that misses its budget raises ToleranceNotMet,
-    or scores inf in the search.
+    filter. A row whose sum has no digit left (bound >= |value|, chi's
+    test for the stop-band series) lies below the segment sum's rounding
+    floor too, so it takes chi's series quadrature: the area is chi at
+    tau = 1 under S = (pi/2) omega^2 on [0, U]. A quadrature row that
+    misses its budget raises ToleranceNotMet, or scores inf in the search.
     """
     u_max = _positive(u_max, "u_max")
+    weight = PowerLaw(np.pi / 2.0, 2.0, 0.0, u_max)
 
     @functools.cache
     def edges():    # u_max / panel_width(1) panels, built on the first fallback
@@ -216,7 +229,12 @@ def _area_objective(u_max):
         total, _mag = plan.sums(d, lambda lag: np.sin(u_max * lag) / lag)
         value = u_max * float(plan.c @ plan.c) + 2.0 * total
         bound = PAIR_ROUNDING * u_max * float(np.abs(plan.c).sum()) ** 2
-        rows = np.flatnonzero(~(bound <= 0.1 * _AREA_QUAD.rel_tol * value))
+        series = bound >= np.abs(value)
+        rows = np.flatnonzero(~(bound <= 0.1 * _AREA_QUAD.rel_tol * value) & ~series)
+        if series.any():
+            jobs = [(make_custom(row), 1.0, True) for row in d[series]]
+            _quadrature_rows(value, np.flatnonzero(series), jobs, weight, _AREA_QUAD,
+                             raise_on_fail)
         if rows.size:
             def integrand(u, owner):    # F node by node, each panel at its row's positions
                 if d.shape[1] == 0:     # FID: sin^2(u/2), as filters._filter

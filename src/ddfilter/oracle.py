@@ -1,12 +1,20 @@
 """Independent time-domain cross-check of the frequency-domain predictions.
 
-Two routes to the same decoherence integral, sharing no code path with
-`coherence.chi` beyond the spectrum definitions:
+Two routes to the same decoherence integral:
 
 * a Grammian quadratic form over a discretized toggling function and the
   noise autocovariance, and
 * a Monte Carlo average over synthesized stationary Gaussian noise
   realizations.
+
+They share with `coherence.chi` the spectrum definitions and the
+quadrature's layout and verdict: quadrature.spectrum_edges (the
+spectrum's kinks, geometric panels toward a singular omega = 0) lays out
+the autocovariance's panels, panel_width wide, and the Monte Carlo's
+modes, one per panel; panel_nodes gives both their nodes and weights, and
+the autocovariance converges under error_budget. They share no filter
+evaluation, pair sum or stop-band series: F never enters, only the
+toggling function in time.
 
 Both routes sum phasors e^(i omega k dt) over the uniform grid k < N. With
 k = q b + j and b = ceil(sqrt(N)) such a phasor is A[q] B[j], where
@@ -272,9 +280,12 @@ def _substream_phases(seed, count, size, rows):
 def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
     """W via synthesized Gaussian noise: mean of cos(2*sqrt(2)*phase).
 
-    Noise is a sum of max(1024, 4 (hi - lo) tau / 2 pi) cosines over the
-    spectrum's power support [lo, hi], with amplitudes sqrt(S(omega_k)
-    d_omega / pi) and independent uniform phases theta; each realization
+    Noise is a sum of cosines over the spectrum's power support [lo, hi],
+    one at the midpoint omega_k of each panel of quadrature.spectrum_edges
+    with full panels (hi - lo) / max(1024, 4 (hi - lo) tau / 2 pi) wide
+    (so kinks and a singular omega = 0 are graded as chi's are), with
+    amplitudes sqrt(S(omega_k) d_omega_k / pi), d_omega_k the panel's
+    width, and independent uniform phases theta; each realization
     uses its own jump-ahead substream of a PCG64 stream, so results for
     the first M realizations are independent of the total count. With
     y_hat the toggling function's transform at the modes, a realization's
@@ -289,9 +300,8 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
     lo, hi = spec.power_support(1e-9)
     if hi <= lo:
         return MCResult(1.0, 0.0, n_realizations, seed)
-    n_modes = max(1024, int(np.ceil(4.0 * (hi - lo) * tau / (2.0 * np.pi))))
-    d_om = (hi - lo) / n_modes
-    om = lo + (np.arange(n_modes) + 0.5) * d_om
+    modes = max(1024, int(np.ceil(4.0 * (hi - lo) * tau / (2.0 * np.pi))))
+    om, d_om = panel_nodes(spectrum_edges(spec, lo, hi, (hi - lo) / modes), 1)
     amps = np.sqrt(eval_spectrum(spec, om) * d_om / np.pi)
     if not np.any(amps > 0):
         return MCResult(1.0, 0.0, n_realizations, seed)
@@ -301,10 +311,10 @@ def monte_carlo_w(seq, spec, tau, n_realizations, n_steps, seed):
              * _grid_transform(sv.values, om, sv.dt))
     a, psi = amps * np.abs(y_hat), np.angle(y_hat)
 
-    rows = max(1, _PHASOR_BLOCK // n_modes)
+    rows = max(1, _PHASOR_BLOCK // om.size)
     phi = np.empty(n_realizations)
     for i, theta in zip(range(0, n_realizations, rows),
-                        _substream_phases(seed, n_realizations, n_modes, rows)):
+                        _substream_phases(seed, n_realizations, om.size, rows)):
         theta += psi
         phi[i:i + len(theta)] = _real_product(np.cos(theta, out=theta), a)
     cos_vals = np.cos(MC_PHASE * phi)

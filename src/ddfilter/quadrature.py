@@ -7,11 +7,12 @@ resolves the fastest filter cosine to about 1e-21 of a panel's value)
 and refined adaptively only where the 21- vs 10-point rule disagreement
 says the tolerance is not met.
 
-Every spectrum integral (chi's supports, the oracle's autocovariance)
-is paneled by spectrum_edges: the spectrum's kinks, geometric panels
-toward a singular omega = 0, and full panels of panel_width. BADD's
-kernel table alone stays ungraded (see optimize._kernel_chi_objective),
-and it and the OFDD area fallback take the same panel_width.
+Every spectrum integral (chi's supports, the oracle's autocovariance
+and its Monte Carlo modes, one per panel) is paneled by spectrum_edges:
+the spectrum's kinks, geometric panels toward a singular omega = 0, and
+full panels of panel_width. BADD's kernel table alone stays ungraded
+(see optimize._kernel_chi_objective), and it and the OFDD area fallback
+take the same panel_width.
 
 integrate_batch runs several integrals together (a coherence curve's tau
 grid): each round calls the integrand on the new panels of every integral

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddfilter import cli
+from ddfilter import canonical_deltas, cli, make_custom, sample_filter
 from ddfilter.cli import main, parse_sequence_spec
 from ddfilter.errors import BadConfig
 from ddfilter.io import read_json, write_json
@@ -226,6 +226,50 @@ def test_family_without_n(tmp_path, capsys):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert json.loads(err.strip())["error"] == "BadConfig"
+
+
+def test_filter_needs_a_sequence(tmp_path, capsys):
+    code, summary, err = run(capsys, "filter", "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and summary is None
+    assert json.loads(err.strip()) == {"error": "BadConfig",
+                                       "message": "provide --seq or --family"}
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_filter_finite_width_and_fid(tmp_path, capsys):
+    """--width-ratio samples the named sequence's finite-width filter, and
+    --family fid needs no --n."""
+    out = tmp_path / "w.csv"
+    code, summary, _ = run(capsys, "filter", "--family", "udd", "--n", "6",
+                           "--width-ratio", "0.01", "--out", str(out))
+    assert code == 0
+    assert summary["variant"] == "finite:0.01" and summary["n"] == 6
+    want = sample_filter(make_custom(canonical_deltas("udd", 6), width_ratio=0.01),
+                         1e-3, 1e3, 50, variant="finite")
+    _, rows = read_table(out)
+    assert [r.split(",")[2:] for r in rows] == [["finite:0.01", "6"]] * len(want.values)
+    assert [float(r.split(",")[1]) for r in rows] == want.values.tolist()
+
+    code, summary, _ = run(capsys, "filter", "--family", "fid", "--out", str(out))
+    assert code == 0
+    assert summary == {"command": "filter", "out": str(out), "points": 300, "n": 0,
+                       "variant": "ideal"}
+    _, rows = read_table(out)
+    u, f = np.array([[float(x) for x in r.split(",")[:2]] for r in rows]).T
+    assert f == pytest.approx(np.sin(u / 2.0) ** 2, rel=1e-12)
+
+
+def test_oracle_writes_its_report(tmp_path, capsys, ohmic_file):
+    """--out writes the report as JSON; the summary adds the path."""
+    out = tmp_path / "o.json"
+    code, summary, _ = run(capsys, "oracle", "--seq", "cpmg:2", "--spectrum", ohmic_file,
+                           "--tau", "1.0", "--n-steps", "1024", "--mc", "50",
+                           "--out", str(out))
+    assert code == 0
+    doc = read_json(out)
+    assert set(doc) == {"chi_freq", "chi_grammian", "rel_diff", "N", "w_mc", "stderr", "M",
+                        "seed"}
+    assert summary == {"command": "oracle", **doc, "out": str(out)}
 
 
 def test_bad_spectrum_file(tmp_path, capsys):

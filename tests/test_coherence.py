@@ -736,3 +736,17 @@ def test_curve_matches_chi_tau_by_tau(spec, first, second, callable_source, log_
         assert curve.diagnostics["path"][i] == info["path"]
         assert curve.labels[i] == f"{seqs[i].label}:{seqs[i].n}"
         assert curve.pulse_counts[i] == seqs[i].n
+
+
+def test_a_curve_source_that_raises_fails_its_taus():
+    """A source that raises at some taus fails those taus in one
+    CurveFailure, after the others are evaluated."""
+    def source(tau):
+        if tau > 1.0:
+            raise ValueError(f"no sequence at tau {tau:g}")
+        return make_canonical("udd", 4)
+
+    with pytest.raises(CurveFailure, match=r"indices \[2, 3\].*ValueError: no sequence at tau 2") \
+            as err:
+        coherence_curve(source, OHMIC, [0.5, 1.0, 2.0, 4.0])
+    assert [(i, type(e)) for i, e in err.value.failures] == [(2, ValueError), (3, ValueError)]

@@ -549,3 +549,22 @@ def test_node_z_over_rows_is_each_rows_node_z(n, rows, seed, fill):
     assert z.shape == u.shape
     for i in range(rows):
         assert z[i].tobytes() == filters._node_z(d[i], u[i], r).tobytes()
+
+
+def test_stop_band_filter_keeps_the_segment_sum_when_it_is_as_good_everywhere():
+    """A pulse 1e-17 after the start leaves |nu_1| at 2 to the last bit, so
+    the series' rounding bound is no smaller than the segment sum's at any
+    u: no crossover, and F is the segment sum's."""
+    seq = make_custom([1e-17])
+    f = StopBandFilter(seq, 3.0)
+    assert (f.degree, f.crossover) == (0, 0.0)
+    u = np.geomspace(1e-6, 3.0, 7)
+    assert np.array_equal(f(u), filter_value_finite(seq, u))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"variant": "quantized"}, "requires a precision"),
+    ({"variant": "smooth"}, "unknown variant")])
+def test_sample_filter_rejects_a_bad_variant(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        sample_filter(make_canonical("udd", 4), 1e-2, 1e2, 10, **kwargs)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ddfilter import (
     DDError,
     Infeasible,
+    NotConverged,
     OhmicSharpCutoff,
     OptimizationConfig,
     PowerLaw,
@@ -47,6 +48,7 @@ from ddfilter.optimize import (
     _area_objective,
     _chi_objective,
     _kernel_chi_objective,
+    _optimize_core,
 )
 from ddfilter import filters
 from ddfilter.coherence import _quadrature
@@ -290,22 +292,34 @@ def test_filter_area_builds_panel_edges_only_for_the_fallback():
 
 
 def test_an_unconverged_area_raises_and_is_inf_to_the_search():
-    """udd30's area up to u = 3 (2.1e-31) sits at the segment sum's
-    rounding floor, about eps^2 U^3 / 3: its quadrature misses the 1e-9
-    budget by far, so filter_area and OFDD's baselines raise
-    ToleranceNotMet with the best value and its error, and the search
-    scores the row inf, beside a cpmg30 row whose quadrature converges."""
+    """udd30's area up to u = 3 (2.3e-31) sits below the segment sum's
+    rounding floor, about eps^2 U^3 / 3, and its pair sum keeps no digit,
+    so it takes chi's stop-band series. When that quadrature misses its
+    budget, filter_area and OFDD's baselines raise ToleranceNotMet, and
+    the search scores the row inf, beside a cpmg30 row whose direct
+    quadrature converges."""
     udd, cpmg = canonical_deltas("udd", 30), canonical_deltas("cpmg", 30)
-    with pytest.raises(ToleranceNotMet) as err:
-        filter_area(make_canonical("udd", 30), 3.0)
-    assert err.value.value == pytest.approx(2.14e-31, rel=0.01)
-    assert err.value.achieved > 1e-3 * err.value.value
-    with pytest.raises(ToleranceNotMet):
-        optimize_ofdd(30, 3.0, FAST)
-    scores = _area_objective(3.0)([udd, cpmg], raise_on_fail=False)
+    refused = lambda jobs, spec, cfg: [ToleranceNotMet("refused")] * len(jobs)
+    with mock.patch("ddfilter.optimize._quadrature", side_effect=refused):
+        with pytest.raises(ToleranceNotMet, match="refused"):
+            filter_area(make_canonical("udd", 30), 3.0)
+        with pytest.raises(ToleranceNotMet, match="refused"):
+            optimize_ofdd(30, 3.0, FAST)
+        scores = _area_objective(3.0)([udd, cpmg], raise_on_fail=False)
     assert scores[0] == np.inf
     assert scores[1] == filter_area(make_canonical("cpmg", 30), 3.0) == pytest.approx(
         3.27e-6, rel=0.01)
+
+
+@pytest.mark.parametrize("n, u_max, want", [
+    (30, 3.0, 2.31270945175585e-31), (30, 12.0, 7.09451980854438e-28),
+    (6, 0.5, 2.33118623621939e-19)])
+def test_a_deep_stop_band_area_takes_the_series(n, u_max, want):
+    """Areas whose pair sum keeps no digit match the 60-digit pair sum to
+    1e-12 through chi's series quadrature. The segment sum's quadrature
+    cannot reach them: its best udd30 values are 7.5% low at U = 3 and
+    8.0% high at U = 12, and it misses its budget on all three."""
+    assert filter_area(make_canonical("udd", n), u_max) == pytest.approx(want, rel=1e-12)
 
 
 def test_filter_area_positive_and_increasing():
@@ -451,13 +465,21 @@ def _reference_pair_sums(seq, kernel, block=_PAIR_BLOCK):
 def _reference_area(deltas, u_max):
     """The OFDD area as a PulseSequence, the reference pair sum and its
     quadrature fallback, which raises ToleranceNotMet when it misses its
-    budget."""
+    budget: chi's series quadrature at tau = 1 under (pi/2) omega^2 on
+    [0, U] when the sum keeps no digit, else the filter's."""
     seq = make_custom(deltas)
     total, _mag = _reference_pair_sums(seq, lambda lag: np.sin(u_max * lag) / lag)
     c = _switching_times(seq)[2]
     value = u_max * float(c @ c) + 2.0 * total
-    if PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2 <= 0.1 * _AREA_QUAD.rel_tol * value:
+    bound = PAIR_ROUNDING * u_max * float(np.abs(c).sum()) ** 2
+    if bound <= 0.1 * _AREA_QUAD.rel_tol * value:
         return value
+    if bound >= abs(value):
+        (out,) = _quadrature([(seq, 1.0, True)], PowerLaw(np.pi / 2.0, 2.0, 0.0, u_max),
+                             _AREA_QUAD)
+        if isinstance(out, DDError):
+            raise out
+        return out[0]
     edges = build_edges(0.0, u_max, max_panel=2.0 * np.pi / 4)
     return integrate(lambda u: filter_value(seq, u), edges, _AREA_QUAD)[0]
 
@@ -800,3 +822,24 @@ def test_lockstep_nelder_mead_is_scipy_start_by_start():
     assert seen == {"expand", "expand, keep reflection", "reflect", "outside contraction",
                     "inside contraction", "outside contraction, shrink",
                     "inside contraction, shrink", "tolerance stop", "iteration cap"}
+
+
+@pytest.mark.parametrize("design", [
+    lambda cfg: optimize_lodd(OHMIC, 4, 1.0, cfg), lambda cfg: optimize_ofdd(4, 5.0, cfg)],
+    ids=["lodd", "ofdd"])
+def test_gaps_that_cannot_fit_are_infeasible(design):
+    """Five gaps of at least 0.3 overfill the unit interval."""
+    with pytest.raises(Infeasible, match="n=4 needs 5 gaps of at least 0.3"):
+        design(OptimizationConfig(restarts=0, min_gap_fraction=0.3))
+
+
+def test_a_search_without_a_finite_value_does_not_converge():
+    """Baselines that score but a search in which every row scores inf
+    (as a row whose quadrature fails does) end in NotConverged."""
+    def objective(d, raise_on_fail=True):
+        return np.full(len(d), 1.0 if raise_on_fail else np.inf)
+
+    # all-inf simplices make the spread test inf - inf, as in SciPy
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NotConverged, match="no optimization start produced a finite"):
+        _optimize_core(objective, 3, OptimizationConfig(restarts=1, max_iterations=5))

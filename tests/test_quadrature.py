@@ -204,3 +204,9 @@ def test_spectrum_edges_grade_toward_a_singular_zero():
                          (PowerLaw(1.0, 0.5, 0.0, 5.0), 0.0, 5.0)):
         assert spectrum_edges(spec, lo, hi, 0.3).tolist() == \
             build_edges(lo, hi, spec.breakpoints(), 0.3).tolist()
+
+
+@pytest.mark.parametrize("edge_sets", [[[0.0]], [[0.0, 1.0], []]], ids=["one-edge", "empty"])
+def test_an_edge_set_needs_two_edges(edge_sets):
+    with pytest.raises(ValueError, match="at least two panel edges"):
+        integrate_batch(lambda x, _owner: x, edge_sets)

@@ -227,3 +227,18 @@ def test_max_order_builds_no_sequence(monkeypatch):
             tracemalloc.stop()
         assert n == want and elapsed < 0.1 and peak < 1 << 20, (family, n, elapsed, peak)
     assert built == []
+
+
+def test_quantizing_fid_returns_it():
+    fid = make_canonical("fid")
+    assert quantize_timing(fid, 0.01) is fid
+
+
+@pytest.mark.parametrize("family, tau, tau_switch, want", [
+    ("cpmg", 2.9999999999969997, 0.3, 5), ("udd", 146.6415786679508, 1.0, 18),
+    ("cpmg", 37.999999999962, 1.0, 18), ("udd", 14.928203230260584, 1.0, 4)])
+def test_max_order_steps_across_float_edges(family, tau, tau_switch, want):
+    """Within 1e-12 of a tie the closed-form inverse lands one below the
+    answer (cpmg5, udd18) or one above it (cpmg18, udd4); steps of one on
+    the closed-form gap settle it."""
+    assert max_order(family, tau, tau_switch) == want

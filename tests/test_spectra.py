@@ -18,6 +18,7 @@ from ddfilter import (
     Tabulated,
     WhiteBand,
     chi,
+    effective_support,
     eval_spectrum,
     from_dict,
     make_canonical,
@@ -303,3 +304,9 @@ def test_rescale_time_rejects_an_overflowing_spectrum():
 def test_evaluate_rejects_omega_outside_zero_to_inf(spec, omega):
     with pytest.raises(ValueError, match="omega"):
         eval_spectrum(spec, omega)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, NAN])
+def test_effective_support_needs_epsilon_in_the_open_unit_interval(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        effective_support(OhmicSharpCutoff(1.0, 1.0), epsilon)
